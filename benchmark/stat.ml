@@ -1,0 +1,40 @@
+(* Order statistics shared by the workloads and [compare]. *)
+
+let sorted xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a
+
+(* Nearest-rank percentile, [q] in (0, 1]: always an observed value, so
+   a latency percentile never interpolates between two requests. *)
+let percentile q xs =
+  let a = sorted xs in
+  let n = Array.length a in
+  if n = 0 then nan
+  else a.(max 0 (min (n - 1) (int_of_float (Float.ceil (q *. float_of_int n)) - 1)))
+
+let median xs =
+  let a = sorted xs in
+  let n = Array.length a in
+  if n = 0 then nan
+  else if n mod 2 = 1 then a.(n / 2)
+  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* Python's [statistics.quantiles xs ~n:4] (the default exclusive
+   method), so [compare] spreads match the ones the benchmark contract
+   quotes. *)
+let quartiles xs =
+  let a = sorted xs in
+  let n = Array.length a in
+  if n = 0 then (nan, nan, nan)
+  else if n = 1 then (a.(0), a.(0), a.(0))
+  else
+    let m = n + 1 in
+    let q i =
+      let j = max 1 (min (n - 1) (i * m / 4)) in
+      let delta = float_of_int ((i * m) - (j * 4)) in
+      ((a.(j - 1) *. (4.0 -. delta)) +. (a.(j) *. delta)) /. 4.0
+    in
+    (q 1, q 2, q 3)
+
+let sum xs = List.fold_left ( +. ) 0.0 xs
