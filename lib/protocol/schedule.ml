@@ -7,17 +7,20 @@ type t = {
   mode : Protocol.mode;
   period : int;
   sender : int -> int -> int;
+  nomination : (int * (int -> int -> int)) option;
+      (* (pairings, candidate): set by [proposal] only *)
 }
 
 let make ~name ~n ~mode ~period ~sender =
   if n < 0 then invalid_arg "Schedule.make: negative vertex count";
   if period < 1 then invalid_arg "Schedule.make: period must be >= 1";
-  { name; n; mode; period; sender }
+  { name; n; mode; period; sender; nomination = None }
 
 let name t = t.name
 let n_vertices t = t.n
 let mode t = t.mode
 let period t = t.period
+let nomination t = t.nomination
 
 let sender t round v =
   if round < 0 then invalid_arg "Schedule.sender: negative round";
@@ -43,6 +46,7 @@ let of_systolic sys =
     mode = Systolic.mode sys;
     period = s;
     sender = (fun r v -> tables.(r mod s).(v));
+    nomination = None;
   }
 
 (* --- bridging back to the materialized world (small n only) ---------- *)
@@ -66,6 +70,7 @@ let with_drops t ~drop =
   {
     t with
     name = t.name ^ "+drops";
+    nomination = None;
     sender =
       (fun r v ->
         let x = t.sender r v in
@@ -178,16 +183,20 @@ let proposal imp ~period ~seed ~full_duplex =
     let u = candidate t v in
     if u >= 0 && candidate t u = v then u else -1
   in
-  of_pairing
-    ~name:(Printf.sprintf "%s proposal(s=%d,seed=%d)" (Implicit.name imp)
-             period seed)
-    ~n ~pairings:period ~full_duplex pairing
+  let sched =
+    of_pairing
+      ~name:(Printf.sprintf "%s proposal(s=%d,seed=%d)" (Implicit.name imp)
+               period seed)
+      ~n ~pairings:period ~full_duplex pairing
+  in
+  { sched with nomination = Some (period, candidate) }
 
 (* --- family resolution ------------------------------------------------ *)
 
 let of_family ~family ~n ~degree ?(period = 64) ?(seed = 1) ~full_duplex () =
   match Implicit.of_family ~family ~n ~degree with
   | Error _ as e -> e
+  | Ok _ when period < 1 -> Error "period must be >= 1"
   | Ok imp -> (
       let actual = Implicit.n_vertices imp in
       match family with

@@ -35,6 +35,19 @@ val n_vertices : t -> int
 val mode : t -> Protocol.mode
 val period : t -> int
 
+(** [nomination t] is [Some (pairings, candidate)] for a {!proposal}
+    schedule and [None] for every other one, including a {!proposal}
+    wrapped by {!with_drops} or a {!Fault_tolerant} transform.
+    [candidate p v] is the vertex that [v] nominates in pairing [p]
+    ([0 <= p < pairings]), or [-1]; it is pure, and a nominee is always
+    in [[0, n)] and different from [v].  The partner of [v] in pairing
+    [p] is [u = candidate p v] exactly when [u >= 0] and
+    [candidate p u = v], and round [r] runs pairing [r mod pairings]
+    (full duplex) or [(r mod 2·pairings) / 2] (half duplex) as
+    {!of_pairing} lays it out, so [sender t r v] can be rebuilt from
+    [candidate] alone. *)
+val nomination : t -> (int * (int -> int -> int)) option
+
 (** [sender t round v] is the vertex transmitting to [v] in (absolute)
     [round], or [-1] when [v] only listens.
     @raise Invalid_argument on [round < 0]. *)
@@ -63,7 +76,9 @@ val to_systolic : t -> Gossip_topology.Digraph.t -> Systolic.t
     [drop ~round ~u ~v] holds — message loss on the implicit arc stream.
     Dropping one direction of a full-duplex exchange legally degrades it
     to a one-directional transmission.  [round] is absolute, so i.i.d.
-    fault processes do not repeat each period. *)
+    fault processes do not repeat each period.  The result has no
+    {!nomination}: drops act on arcs, which a nominee table cannot
+    express, so the chunked engine runs it through {!sender}. *)
 val with_drops : t -> drop:(round:int -> u:int -> v:int -> bool) -> t
 
 (** {1 Pairing plumbing}
@@ -129,7 +144,11 @@ val ccc_colored : dim:int -> full_duplex:bool -> t
     by construction.  With degree-bounded families a vertex is isolated
     for a whole default period with probability well under [1e-7], so
     repeated periods gossip with overwhelming probability; completion is
-    probabilistic, not guaranteed.
+    probabilistic, not guaranteed.  The schedule carries its
+    {!nomination}, so the chunked engine evaluates each vertex's
+    nomination once per pairing rather than through {!sender}, which
+    evaluates two nominations per call and is called for every vertex
+    and every receiver's sender in every round.
     @raise Invalid_argument on [period < 1]. *)
 val proposal : Gossip_topology.Implicit.t -> period:int -> seed:int -> full_duplex:bool -> t
 
@@ -140,7 +159,9 @@ val proposal : Gossip_topology.Implicit.t -> period:int -> seed:int -> full_dupl
     smallest instance with at least [n] vertices, paired with its
     natural schedule: structured colorings for hypercube, cycle, torus
     and CCC; {!proposal} (with [?period], [?seed], defaults 64 and 1)
-    for de Bruijn and Kautz. *)
+    for de Bruijn and Kautz.  Returns [Error] on an unknown family, an
+    [n] the family cannot reach, or [period < 1] (for every family,
+    structured ones included). *)
 val of_family :
   family:string ->
   n:int ->

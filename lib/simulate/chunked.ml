@@ -20,6 +20,11 @@ type state = {
   words : int;
   state : int array;
   mutable known : int;
+  mutable cand : int array;
+      (* nominees of one pairing instance; allocated (n words) on the
+         first round of a schedule with a nomination *)
+  mutable cand_key : ((int -> int -> int) * int) option;
+      (* the (candidate, pairing) that [cand] currently holds *)
 }
 
 let create ?items n =
@@ -28,7 +33,8 @@ let create ?items n =
     match items with None -> n | Some k -> max 0 (min k n)
   in
   let words = max 1 ((items + bits_per_word - 1) / bits_per_word) in
-  let st = { n; items; words; state = Array.make (max 1 (n * words)) 0; known = 0 } in
+  let state = Array.make (max 1 (n * words)) 0 in
+  let st = { n; items; words; state; known = 0; cand = [||]; cand_key = None } in
   (* vertex v starts knowing item v — exactly the engine's initial state,
      restricted to the first [items] items *)
   for v = 0 to items - 1 do
@@ -107,7 +113,91 @@ let block_delta st sched round lo hi =
   done;
   !delta
 
+(* The table path, for schedules with a {!Schedule.nomination}: [st.cand]
+   holds every vertex's nominee in one pairing, so [x = cand.(v)] is v's
+   partner exactly when [cand.(x) = v].  [phase < 0] is a full-duplex
+   round: the pair exchanges and the lower endpoint owns the write, as in
+   [block_delta].  Otherwise it is a half-duplex round, as [of_pairing]
+   splits it: the lower endpoint sends when [phase = 0] and the higher
+   one when [phase = 1].  The receiver's block writes the receiver only,
+   and a sender is not written in its round, so [v |= x] is race-free.
+   The word loops repeat [block_delta]'s: they call [popcount], so the
+   compiler will not inline them as a shared helper, and a call per
+   merge would slow the sender path, whose thousands of tiny runs in
+   the fault certifier pay per-round overhead in full. *)
+let nominated_block_delta st phase lo hi =
+  let words = st.words and state = st.state and cand = st.cand in
+  let delta = ref 0 in
+  for v = lo to hi - 1 do
+    let x = cand.(v) in
+    if x >= 0 then
+      if phase < 0 then begin
+        if v < x && cand.(x) = v then begin
+          let dv = v * words and dx = x * words in
+          for w = 0 to words - 1 do
+            let a = state.(dv + w) and b = state.(dx + w) in
+            let u = a lor b in
+            if u <> a then begin
+              delta := !delta + popcount (u land lnot a);
+              state.(dv + w) <- u
+            end;
+            if u <> b then begin
+              delta := !delta + popcount (u land lnot b);
+              state.(dx + w) <- u
+            end
+          done
+        end
+      end
+      else if (if phase = 0 then x < v else x > v) && cand.(x) = v then begin
+        let dv = v * words and dx = x * words in
+        for w = 0 to words - 1 do
+          let a = state.(dv + w) in
+          let u = a lor state.(dx + w) in
+          if u <> a then begin
+            delta := !delta + popcount (u land lnot a);
+            state.(dv + w) <- u
+          end
+        done
+      end
+  done;
+  !delta
+
+(* Refills [st.cand] only when the pairing instance changes — every
+   round in full duplex, every second round in half duplex — calling
+   [candidate] once per vertex, then merges from the table.  Both passes
+   run over the same vertex blocks; the fill writes only its own block
+   and finishes before any merge reads it. *)
+let nominated_round ?domains st nblocks mode (pairings, candidate) round =
+  let full_duplex = mode = Protocol.Full_duplex in
+  let r = round mod (if full_duplex then pairings else 2 * pairings) in
+  let p = if full_duplex then r else r / 2 in
+  (match st.cand_key with
+  | Some (c, q) when c == candidate && q = p -> ()
+  | _ ->
+      if Array.length st.cand <> st.n then st.cand <- Array.make st.n (-1);
+      (* a fill cut short by an exception must not leave a valid key *)
+      st.cand_key <- None;
+      ignore
+        (Parallel.reduce ?domains nblocks
+           (fun b ->
+             for v = b * st.n / nblocks to ((b + 1) * st.n / nblocks) - 1 do
+               st.cand.(v) <- candidate p v
+             done;
+             0)
+           ( + ) 0);
+      st.cand_key <- Some (candidate, p));
+  let phase = if full_duplex then -1 else r mod 2 in
+  Parallel.reduce ?domains nblocks
+    (fun b ->
+      nominated_block_delta st phase (b * st.n / nblocks)
+        ((b + 1) * st.n / nblocks))
+    ( + ) 0
+
 let apply_round ?domains st sched round =
+  if Schedule.n_vertices sched <> st.n then
+    invalid_arg
+      "Chunked.apply_round: schedule and state disagree on vertex count";
+  if round < 0 then invalid_arg "Chunked.apply_round: negative round";
   let workers =
     match domains with
     | Some d -> max 1 d
@@ -117,11 +207,16 @@ let apply_round ?domains st sched round =
      when block costs differ *)
   let nblocks = max 1 (min st.n (workers * 4)) in
   let delta =
-    Parallel.reduce ?domains nblocks
-      (fun b ->
-        let lo = b * st.n / nblocks and hi = (b + 1) * st.n / nblocks in
-        block_delta st sched round lo hi)
-      ( + ) 0
+    match Schedule.nomination sched with
+    | Some nomination ->
+        nominated_round ?domains st nblocks (Schedule.mode sched) nomination
+          round
+    | None ->
+        Parallel.reduce ?domains nblocks
+          (fun b ->
+            let lo = b * st.n / nblocks and hi = (b + 1) * st.n / nblocks in
+            block_delta st sched round lo hi)
+          ( + ) 0
   in
   st.known <- st.known + delta
 

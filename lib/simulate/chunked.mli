@@ -15,7 +15,31 @@
     same-round feedback is a full-duplex exchange, which the owning
     block writes atomically with the shared union of both sides, so the
     result is identical to start-of-round-snapshot semantics and
-    deterministic for every worker count. *)
+    deterministic for every worker count.
+
+    {b Two paths.}  A schedule with a
+    {!Gossip_protocol.Schedule.nomination} (a
+    {!Gossip_protocol.Schedule.proposal}) runs on a candidate table: the
+    state keeps one n-word buffer of every vertex's nominee, refilled
+    with one [candidate] call per vertex only when the pairing changes
+    (every round in full duplex, every second round in half duplex), and
+    each round merges from it.  Every other schedule — structured
+    colorings, {!Gossip_protocol.Schedule.of_systolic}, fault-wrapped
+    and {!Gossip_protocol.Fault_tolerant} schedules — runs on the sender
+    path, which calls [Schedule.sender] for every vertex and for every
+    receiver's sender.  The schedule selects the path; both give the
+    same rounds, coverage and state bits.  Memory is [n·⌈items/63⌉]
+    words of state on the sender path and [n·(⌈items/63⌉ + 1)] words
+    once a proposal schedule has run on the state.
+
+    The table path is race-free for the same reason as the sender path:
+    the fill writes each block's own entries and completes before any
+    merge reads the table; a merge writes a receiver from its own
+    block, or both ends of an exchange from the lower endpoint's block,
+    and mutual nomination pairs each vertex with at most one partner.
+    Both passes are pure functions of the state before the round and the
+    round's pairing, and the newly-set bit counts are summed exactly, so
+    the result does not depend on the domain count. *)
 
 type state
 
@@ -45,7 +69,14 @@ val complete : state -> bool
 
 (** [apply_round ?domains st sched round] executes (absolute) round
     [round] of [sched] on [st], blockwise over the worker domains
-    (default {!Gossip_util.Parallel.recommended_domains}). *)
+    (default {!Gossip_util.Parallel.recommended_domains}).  A proposal
+    schedule runs on the candidate table, which is refilled when
+    [(sched, pairing of round)] differs from what it holds, so rounds
+    may come in any order and schedules may be interleaved on one
+    state; every other schedule runs on the sender path (see the
+    module header).
+    @raise Invalid_argument when [sched] and [st] disagree on the
+    vertex count, or on [round < 0]. *)
 val apply_round : ?domains:int -> state -> Gossip_protocol.Schedule.t -> int -> unit
 
 (** A streamed progress sample: the deterministic coverage curve

@@ -85,6 +85,29 @@ let test_of_family_resolution () =
   check "tiny n rejected" true
     (Result.is_error (Implicit.of_family ~family:"cycle" ~n:2 ~degree:2))
 
+let test_of_family_rejects_period () =
+  (* a result-returning resolver must not raise on a bad period, and
+     the structured families, which ignore it, reject it too *)
+  List.iter
+    (fun family ->
+      List.iter
+        (fun period ->
+          check
+            (Printf.sprintf "%s, period %d: Error" family period)
+            true
+            (match
+               Schedule.of_family ~family ~n:100 ~degree:2 ~period
+                 ~full_duplex:false ()
+             with
+            | Error e -> e = "period must be >= 1"
+            | Ok _ -> false))
+        [ 0; -3 ])
+    Implicit.known_families;
+  check "period 1 accepted" true
+    (Result.is_ok
+       (Schedule.of_family ~family:"de-bruijn" ~n:100 ~degree:2 ~period:1
+          ~full_duplex:false ()))
+
 (* --- schedules: validity through Protocol.make, on both duplex modes --- *)
 
 let structured_cases full_duplex =
@@ -322,6 +345,137 @@ let test_with_drops_absolute_rounds () =
     (Schedule.round_arcs lossy ((2 * s) + 1)
     = Schedule.round_arcs base ((2 * s) + 1))
 
+(* --- the candidate-table path of proposal schedules --- *)
+
+(* The same rounds without the nomination: [with_drops] clears it, so
+   Chunked runs these through Schedule.sender. *)
+let sender_path sched =
+  Schedule.with_drops sched ~drop:(fun ~round:_ ~u:_ ~v:_ -> false)
+
+let same_knowledge a b =
+  let n = Chunked.n_vertices a and k = Chunked.items a in
+  let same = ref (n = Chunked.n_vertices b && k = Chunked.items b) in
+  for v = 0 to n - 1 do
+    for i = 0 to k - 1 do
+      if Chunked.knows a v i <> Chunked.knows b v i then same := false
+    done
+  done;
+  !same && Chunked.items_known a = Chunked.items_known b
+
+let test_nomination_only_on_proposals () =
+  (* [sender_path] relies on with_drops clearing the nomination: were it
+     kept, the comparisons below would pit the table path against
+     itself *)
+  let imp = Implicit.de_bruijn 2 5 in
+  let prop = Schedule.proposal imp ~period:4 ~seed:1 ~full_duplex:false in
+  check "proposal carries its nomination" true
+    (match Schedule.nomination prop with Some (4, _) -> true | _ -> false);
+  List.iter
+    (fun (name, sched) ->
+      check (name ^ " has none") true (Schedule.nomination sched = None))
+    [
+      ("with_drops", sender_path prop);
+      ("replicate", fst (Fault_tolerant.replicate prop ~k:1));
+      ("augment", fst (Fault_tolerant.augment prop ~k:1));
+      ("hypercube sweep", Schedule.hypercube_sweep ~dim:5 ~full_duplex:false);
+      ( "of_systolic",
+        Schedule.of_systolic
+          (Builders.edge_coloring_half_duplex (Families.hypercube 3)) );
+    ]
+
+let gen_nominated_case =
+  QCheck.Gen.(
+    let* kautz = bool in
+    let* d = int_range 2 4 in
+    let family = if kautz then Implicit.kautz d else Implicit.de_bruijn d in
+    let rec top dim =
+      if Implicit.n_vertices (family (dim + 1)) <= 200 then top (dim + 1)
+      else dim
+    in
+    let* dim = int_range 1 (top 1) in
+    let* period = int_range 1 8 in
+    let* seed = int_range 0 1_000_000 in
+    let* full_duplex = bool in
+    let* items = oneofl [ None; Some 64; Some 1 ] in
+    let* domains = oneofl [ 1; 2; 4 ] in
+    return (family dim, period, seed, full_duplex, items, domains))
+
+let prop_nominated_path_matches_sender_path =
+  QCheck.Test.make ~name:"proposal table path = sender path, bit for bit"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (imp, period, seed, full_duplex, items, domains) ->
+         Printf.sprintf "%s period=%d seed=%d fd=%b items=%s domains=%d"
+           (Implicit.name imp) period seed full_duplex
+           (match items with None -> "n" | Some k -> string_of_int k)
+           domains)
+       gen_nominated_case)
+    (fun (imp, period, seed, full_duplex, items, domains) ->
+      let sched = Schedule.proposal imp ~period ~seed ~full_duplex in
+      let run ~domains sched =
+        let st = Chunked.create ?items (Schedule.n_vertices sched) in
+        (st, Chunked.run ~domains st sched)
+      in
+      let st, o = run ~domains sched in
+      let st', o' = run ~domains:1 (sender_path sched) in
+      o.Chunked.time = o'.Chunked.time
+      && o.Chunked.rounds_run = o'.Chunked.rounds_run
+      && o.Chunked.final_coverage = o'.Chunked.final_coverage
+      && same_knowledge st st')
+
+let test_nominated_buffer_key () =
+  (* one state, three proposal schedules interleaved, rounds out of
+     order: the table must be refilled whenever the (schedule, pairing)
+     it holds is not the round's — a new schedule at the same pairing,
+     or the same schedule at another pairing on an odd round *)
+  let imp = Implicit.de_bruijn 2 6 in
+  let a = Schedule.proposal imp ~period:4 ~seed:3 ~full_duplex:false in
+  let b = Schedule.proposal imp ~period:4 ~seed:11 ~full_duplex:false in
+  let c = Schedule.proposal imp ~period:3 ~seed:3 ~full_duplex:true in
+  let steps =
+    [
+      (a, 0); (b, 0); (a, 1); (a, 5); (a, 4); (b, 1); (c, 0); (c, 0);
+      (a, 2); (b, 7); (c, 4); (a, 3); (b, 6); (c, 2); (a, 9); (b, 2);
+      (a, 8); (c, 1); (b, 3); (a, 6);
+    ]
+  in
+  let drive path =
+    let st = Chunked.create 64 in
+    List.iter
+      (fun (sched, r) -> Chunked.apply_round ~domains:1 st (path sched) r)
+      steps;
+    st
+  in
+  let table = drive Fun.id and fresh = drive sender_path in
+  check "the rounds spread knowledge" true (Chunked.items_known fresh > 64);
+  check "interleaved table rounds = sender rounds" true
+    (same_knowledge table fresh)
+
+let test_apply_round_validates () =
+  let rejects st sched round =
+    match Chunked.apply_round ~domains:1 st sched round with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, sched) ->
+      List.iter
+        (fun n ->
+          let st = Chunked.create n in
+          check
+            (Printf.sprintf "%s on a %d-vertex state rejected" name n)
+            true (rejects st sched 0);
+          check_int "state untouched" n (Chunked.items_known st))
+        [ 16; 64 ];
+      check (name ^ ": negative round rejected") true
+        (rejects (Chunked.create 32) sched (-1)))
+    [
+      ( "DB(2,5) proposal",
+        Schedule.proposal (Implicit.de_bruijn 2 5) ~period:4 ~seed:1
+          ~full_duplex:false );
+      ("Q5 sweep", Schedule.hypercube_sweep ~dim:5 ~full_duplex:false);
+    ]
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -342,4 +496,9 @@ let suite =
     ("implicit faults deterministic", `Quick, test_implicit_faults_deterministic);
     ("with_drops stacking is union", `Quick, test_with_drops_stacking_is_union);
     ("with_drops keys absolute rounds", `Quick, test_with_drops_absolute_rounds);
+    ("of_family rejects a bad period", `Quick, test_of_family_rejects_period);
+    ("nomination only on proposals", `Quick, test_nomination_only_on_proposals);
+    QCheck_alcotest.to_alcotest prop_nominated_path_matches_sender_path;
+    ("table path buffer key", `Quick, test_nominated_buffer_key);
+    ("apply_round validates its input", `Quick, test_apply_round_validates);
   ]
