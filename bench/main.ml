@@ -635,7 +635,10 @@ let fault_probs = [ 0.0; 0.1; 0.2; 0.3 ]
 let run_faults () =
   List.map
     (fun (name, sys) ->
-      (name, Simulate.Faults.slowdown_curve sys ~probabilities:fault_probs ~seed:99))
+      ( name,
+        Simulate.Faults.curve sys
+          ~models:(List.map (fun p -> Simulate.Faults.Iid { p }) fault_probs)
+          ~seed:99 ))
     [
       ("Q5 sweep hd", Builders.hypercube_sweep ~dim:5 ~full_duplex:false);
       ("DB(2,5) periodic", Builders.edge_coloring_half_duplex (Families.de_bruijn 2 5));
@@ -654,13 +657,13 @@ let print_faults () =
       Table.add_row t
         (name
         :: List.map
-             (fun (pt : Simulate.Faults.slowdown_point) ->
-               match pt.Simulate.Faults.mean with
+             (fun (pt : Simulate.Faults.curve_point) ->
+               let completed = pt.Simulate.Faults.cp_completed
+               and trials = pt.Simulate.Faults.cp_trials in
+               match pt.Simulate.Faults.cp_mean with
                | Some v ->
-                   if pt.Simulate.Faults.completed < pt.Simulate.Faults.trials
-                   then
-                     Printf.sprintf "%.1f (%d/%d)" v
-                       pt.Simulate.Faults.completed pt.Simulate.Faults.trials
+                   if completed < trials then
+                     Printf.sprintf "%.1f (%d/%d)" v completed trials
                    else Printf.sprintf "%.1f" v
                | None -> "DNF")
              curve))
@@ -957,8 +960,8 @@ let bechamel_tests () =
     Test.make ~name:"fault_injection_run"
       (stage (fun () ->
            ignore
-             (Simulate.Faults.gossip_time_with_faults
-                (Builders.cycle_rotate 16) ~drop_probability:0.2 ~seed:1)));
+             (Simulate.Faults.run (Builders.cycle_rotate 16)
+                ~model:(Simulate.Faults.Iid { p = 0.2 }) ~seed:1)));
     Test.make ~name:"pattern_ablation"
       (stage (fun () -> ignore (run_pattern_ablation ())));
     Test.make ~name:"message_complexity"

@@ -727,7 +727,7 @@ let faults_cmd =
       p_recover json =
     let g = build_network family d dim in
     let sys = default_systolic g full_duplex in
-    let models =
+    let models () =
       match model with
       | "iid" -> List.map (fun p -> Simulate.Faults.Iid { p }) probabilities
       | "permanent" ->
@@ -737,60 +737,67 @@ let faults_cmd =
             (fun p -> Simulate.Faults.Bursty { p_fail = p; p_recover })
             probabilities
       | other ->
-          Printf.eprintf
-            "gossip_lab: --model must be iid, permanent or bursty (got %S)\n" other;
-          exit 2
-    in
-    let curve = Simulate.Faults.curve sys ~trials ~models ~seed in
-    if json then
-      let module J = Util.Json in
-      print_json
-        (J.Obj
-           [
-             ("network", J.Str (Topology.Digraph.name g));
-             ("period", J.Int (Protocol.Systolic.period sys));
-             ("model", J.Str model);
-             ("trials", J.Int trials);
-             ("seed", J.Int seed);
-             ( "curve",
-               J.List (List.map Simulate.Faults.curve_point_to_json curve) );
-           ])
-    else begin
-      let param_label = function
-        | Simulate.Faults.Iid { p } -> Printf.sprintf "%.2f" p
-        | Simulate.Faults.Permanent { k } -> string_of_int k
-        | Simulate.Faults.Bursty { p_fail; p_recover } ->
-            Printf.sprintf "%.2f/%.2f" p_fail p_recover
-      in
-      let param_header =
-        match model with
-        | "permanent" -> "k"
-        | "bursty" -> "p_fail/p_rec"
-        | _ -> "p"
-      in
-      let t =
-        Util.Table.make
-          ~title:
+          invalid_arg
             (Printf.sprintf
-               "%s — mean gossip time under %s arc faults (%d trials)"
-               (Topology.Digraph.name g) model trials)
-          [ param_header; "mean"; "completed" ]
-      in
-      List.iter
-        (fun (pt : Simulate.Faults.curve_point) ->
-          Util.Table.add_row t
-            [
-              param_label pt.Simulate.Faults.cp_model;
-              (match pt.Simulate.Faults.cp_mean with
-              | Some m -> Printf.sprintf "%.1f" m
-              | None -> "DNF");
-              Printf.sprintf "%d/%d" pt.Simulate.Faults.cp_completed
-                pt.Simulate.Faults.cp_trials;
-            ])
-        curve;
-      Util.Table.print t;
-      report ()
-    end
+               "--model must be iid, permanent or bursty (got %S)" other)
+    in
+    (* the model, its parameters and the trial count all come from the
+       command line, so whatever [curve] rejects is a usage error *)
+    match Simulate.Faults.curve sys ~trials ~models:(models ()) ~seed with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | curve ->
+        if json then begin
+          let module J = Util.Json in
+          print_json
+            (J.Obj
+               [
+                 ("network", J.Str (Topology.Digraph.name g));
+                 ("period", J.Int (Protocol.Systolic.period sys));
+                 ("model", J.Str model);
+                 ("trials", J.Int trials);
+                 ("seed", J.Int seed);
+                 ( "curve",
+                   J.List (List.map Simulate.Faults.curve_point_to_json curve)
+                 );
+               ])
+        end
+        else begin
+          let param_label = function
+            | Simulate.Faults.Iid { p } -> Printf.sprintf "%.2f" p
+            | Simulate.Faults.Permanent { k } -> string_of_int k
+            | Simulate.Faults.Bursty { p_fail; p_recover } ->
+                Printf.sprintf "%.2f/%.2f" p_fail p_recover
+          in
+          let param_header =
+            match model with
+            | "permanent" -> "k"
+            | "bursty" -> "p_fail/p_rec"
+            | _ -> "p"
+          in
+          let t =
+            Util.Table.make
+              ~title:
+                (Printf.sprintf
+                   "%s — mean gossip time under %s arc faults (%d trials)"
+                   (Topology.Digraph.name g) model trials)
+              [ param_header; "mean"; "completed" ]
+          in
+          List.iter
+            (fun (pt : Simulate.Faults.curve_point) ->
+              Util.Table.add_row t
+                [
+                  param_label pt.Simulate.Faults.cp_model;
+                  (match pt.Simulate.Faults.cp_mean with
+                  | Some m -> Printf.sprintf "%.1f" m
+                  | None -> "DNF");
+                  Printf.sprintf "%d/%d" pt.Simulate.Faults.cp_completed
+                    pt.Simulate.Faults.cp_trials;
+                ])
+            curve;
+          Util.Table.print t;
+          report ()
+        end;
+        `Ok ()
   in
   let fd =
     C.Arg.(value & flag & info [ "full-duplex" ] ~doc:"Full-duplex protocol.")
@@ -843,8 +850,9 @@ let faults_cmd =
           counts (non-completing trials are excluded from the mean, so \
           the counts matter).")
     C.Term.(
-      const run $ setup_term $ family_arg $ degree_arg $ dim_arg $ fd $ trials
-      $ seed $ model $ probabilities $ ks $ p_recover $ json_arg)
+      ret
+        (const run $ setup_term $ family_arg $ degree_arg $ dim_arg $ fd
+       $ trials $ seed $ model $ probabilities $ ks $ p_recover $ json_arg))
 
 (* --- fault-tolerance: certify-faults / harden --- *)
 

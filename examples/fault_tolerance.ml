@@ -36,16 +36,19 @@ let () =
   List.iter
     (fun (name, sys) ->
       let curve =
-        Simulate.Faults.slowdown_curve sys ~probabilities ~seed:2024
+        Simulate.Faults.curve sys
+          ~models:(List.map (fun p -> Simulate.Faults.Iid { p }) probabilities)
+          ~seed:2024
       in
       Table.add_row t
         (name
         :: List.map
-             (fun (pt : Simulate.Faults.slowdown_point) ->
-               match pt.Simulate.Faults.mean with
-               | Some m when pt.Simulate.Faults.completed < pt.Simulate.Faults.trials ->
-                   Printf.sprintf "%.1f (%d/%d)" m pt.Simulate.Faults.completed
-                     pt.Simulate.Faults.trials
+             (fun (pt : Simulate.Faults.curve_point) ->
+               let completed = pt.Simulate.Faults.cp_completed
+               and trials = pt.Simulate.Faults.cp_trials in
+               match pt.Simulate.Faults.cp_mean with
+               | Some m when completed < trials ->
+                   Printf.sprintf "%.1f (%d/%d)" m completed trials
                | Some m -> Printf.sprintf "%.1f" m
                | None -> "DNF")
              curve))
@@ -65,7 +68,7 @@ let () =
       ~mode:Protocol.Protocol.Half_duplex
   in
   let faulty =
-    Simulate.Faults.gossip_time_with_faults sys ~drop_probability:0.3 ~seed:1
+    Simulate.Faults.run sys ~model:(Simulate.Faults.Iid { p = 0.3 }) ~seed:1
   in
   Format.printf
     "@.Q5: certified >= %d; fault-free %d rounds; with p = 0.3 drops: %s (%d/%d activations dropped)@."

@@ -7,9 +7,10 @@
     [sender round v] — the vertex transmitting to [v] in [round], or
     [-1] — so each round's matching is recomputed blockwise by the
     chunked engine and never stored.  The materialized protocols become
-    one instance via {!of_systolic}, and {!to_systolic} bridges back so
-    property tests can pin implicit schedules against the legacy engine
-    on small instances. *)
+    one instance via {!of_systolic}, which is how the simulator runs
+    them, and {!to_systolic} bridges back so property tests can pin
+    implicit schedules against materialized protocols on small
+    instances. *)
 
 type t
 

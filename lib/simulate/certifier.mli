@@ -6,8 +6,8 @@
     most [k] permanently dead arcs?  Patterns are subsets of the
     period's distinct arc set; each one is simulated by wrapping the
     schedule with {!Gossip_protocol.Schedule.with_drops} and running
-    the chunked engine with [items = n] (exact gossip, bit-identical
-    to the materialized engine).
+    the chunked engine with [items = n] (exact gossip, as {!Engine}
+    runs it).
 
     The pattern space [C(m, <=k)] is enumerated exhaustively while it
     fits the [budget]; beyond that a seeded sample of [budget] patterns

@@ -8,9 +8,8 @@ module Schedule = Gossip_protocol.Schedule
    contiguous vertex blocks by worker domains.  Tracking [items <= n]
    items (instead of the full n² gossip state) is what keeps a
    million-vertex simulation in memory proportional to state: items
-   defaults to n, making the engine bit-for-bit equivalent to
-   {!Engine} on small instances, while items = 64 at n = 10^6 needs
-   ~8 MB instead of ~125 GB. *)
+   defaults to n, exact gossip as {!Engine} runs it, while items = 64
+   at n = 10^6 needs ~8 MB instead of ~125 GB. *)
 
 let bits_per_word = 63
 
@@ -35,8 +34,8 @@ let create ?items n =
   let words = max 1 ((items + bits_per_word - 1) / bits_per_word) in
   let state = Array.make (max 1 (n * words)) 0 in
   let st = { n; items; words; state; known = 0; cand = [||]; cand_key = None } in
-  (* vertex v starts knowing item v — exactly the engine's initial state,
-     restricted to the first [items] items *)
+  (* vertex v starts knowing item v, restricted to the first [items]
+     items *)
   for v = 0 to items - 1 do
     st.state.((v * words) + (v / bits_per_word)) <-
       1 lsl (v mod bits_per_word)

@@ -1,21 +1,25 @@
-(** Chunked blockwise simulation over implicit schedules.
+(** Chunked blockwise simulation over implicit schedules — the one
+    round executor behind every gossip time in the repository.
 
-    The materialized {!Engine} keeps one bitset per processor over all
-    [n] items — n² bits, ~125 GB at a million vertices.  This engine
-    scales by tracking the dissemination of the first [items <= n]
-    items only, in one contiguous word array processed blockwise in
-    parallel: memory stays proportional to simulation state
-    ([n·items] bits), and rounds come from a {!Gossip_protocol.Schedule}
-    sender function, so nothing per-round is ever materialized either.
+    Exact gossip tracks all [n] items at every vertex — n² bits, ~125 GB
+    at a million vertices.  This engine scales by tracking the
+    dissemination of the first [items <= n] items only, in one
+    contiguous word array processed blockwise in parallel: memory stays
+    proportional to simulation state ([n·items] bits), and rounds come
+    from a {!Gossip_protocol.Schedule} sender function, so nothing
+    per-round is ever materialized either.
 
-    With [items = n] the semantics are bit-for-bit those of {!Engine}
-    (the equivalence property the tests pin); with [items = 1] a run is
-    a broadcast of item 0; small [items] (e.g. 64) is the scaling
-    configuration.  Rounds are applied in place: a matching's only
-    same-round feedback is a full-duplex exchange, which the owning
-    block writes atomically with the shared union of both sides, so the
-    result is identical to start-of-round-snapshot semantics and
-    deterministic for every worker count.
+    With [items = n] a run is exact gossip under the whispering rule of
+    Section 3 (the tests pin it bit for bit against a literal
+    copy-then-union reference); {!Engine} and {!Stats} run materialized
+    protocols this way, through {!Gossip_protocol.Schedule.of_systolic}.
+    With [items = 1] a run is a broadcast of item 0; small [items]
+    (e.g. 64) is the scaling configuration.  Rounds are applied in
+    place: a matching's only same-round feedback is a full-duplex
+    exchange, which the owning block writes atomically with the shared
+    union of both sides, so the result is identical to
+    start-of-round-snapshot semantics and deterministic for every
+    worker count.
 
     {b Two paths.}  A schedule with a
     {!Gossip_protocol.Schedule.nomination} (a
@@ -61,7 +65,7 @@ val items_known : state -> int
 val knows : state -> int -> int -> bool
 
 (** [coverage st] is [items_known / (n · items)] (1.0 when the state is
-    empty) — the chunked analogue of {!Engine} coverage. *)
+    empty) — with [items = n], the {!Engine} coverage. *)
 val coverage : state -> float
 
 (** [complete st] — every vertex knows every tracked item. *)

@@ -1,39 +1,20 @@
-(** Synchronous gossip simulation.
+(** Synchronous gossip simulation of materialized protocols.
 
-    The engine executes a protocol on the whispering-model semantics of
-    Section 3: at the start every processor knows exactly its own item;
-    when arc [(x, y)] is active at round [i], at the beginning of round
-    [i+1] processor [y] additionally knows everything [x] knew at the
-    beginning of round [i].  Because every round is a matching, a sender
-    is never simultaneously a receiver except through the opposite arc in
-    full-duplex mode, which exchanges start-of-round knowledge.
+    The systolic front end over {!Chunked}: every function here views
+    its protocol as a {!Gossip_protocol.Schedule.of_systolic} schedule
+    and runs it on a chunked state tracking all [n] items, one round at
+    a time on the calling domain.  The semantics are the whispering
+    model of Section 3: at the start every processor knows exactly its
+    own item; when arc [(x, y)] is active at round [i], at the beginning
+    of round [i+1] processor [y] additionally knows everything [x] knew
+    at the beginning of round [i].  Because every round is a matching, a
+    sender is never simultaneously a receiver except through the
+    opposite arc in full-duplex mode, which exchanges start-of-round
+    knowledge.
 
     Gossip completes at the first round after which every processor knows
     every item; broadcast from [src] completes when every processor knows
     [src]'s item. *)
-
-type state
-(** Mutable knowledge state: one {!Gossip_util.Bitset} per processor. *)
-
-(** [initial_state n] — processor [v] knows exactly item [v]. *)
-val initial_state : int -> state
-
-(** [knowledge st v] is the (live, do not mutate) item set of [v]. *)
-val knowledge : state -> int -> Gossip_util.Bitset.t
-
-(** [items_known st] is the total count of (processor, item) pairs,
-    maintained incrementally — O(1), never a state rescan. *)
-val items_known : state -> int
-
-(** [all_complete st] — every processor knows every item. *)
-val all_complete : state -> bool
-
-(** [apply_round st round] executes one matching synchronously, mutating
-    [st].  The round must be a valid matching (sender sets are snapshotted
-    only where an exchange demands it).  Steady state allocates nothing:
-    marks and snapshot buffers are scratch owned by [st] and reused across
-    rounds. *)
-val apply_round : state -> Gossip_protocol.Protocol.round -> unit
 
 (** Result of running a protocol to completion or exhaustion. *)
 type outcome = {
@@ -60,7 +41,9 @@ val gossip_time :
   int option
 
 (** [broadcast_time ?probe ?cap p ~src] — rounds until everyone knows
-    [src]'s item under systolic protocol [p]. *)
+    [src]'s item under systolic protocol [p]; [cap] and [probe] as in
+    {!gossip_time}, with coverage still over all [n²] pairs.
+    @raise Invalid_argument unless [0 <= src < n]. *)
 val broadcast_time :
   ?probe:(round:int -> coverage:float -> unit) ->
   ?cap:int ->

@@ -91,37 +91,40 @@ let decider p model rng =
         not !good),
         [] )
 
+let n_vertices p = Gossip_topology.Digraph.n_vertices (Systolic.graph p)
+let default_cap p = (16 * Systolic.period p * n_vertices p) + 64
+
 let run ?cap p ~model ~seed =
   validate_model model;
-  let g = Systolic.graph p in
-  let n = Gossip_topology.Digraph.n_vertices g in
-  let cap =
-    match cap with Some c -> c | None -> (16 * Systolic.period p * n) + 64
-  in
+  let n = n_vertices p in
+  let cap = match cap with Some c -> c | None -> default_cap p in
   let rng = Prng.create seed in
   let drop_arc, failed_arcs = decider p model rng in
-  let st = Engine.initial_state n in
+  let st = Chunked.create n in
+  (* the surviving arcs of the current round, receiver-indexed: dropping
+     arcs from a matching keeps it a matching, which a one-round
+     schedule reading this table hands to the chunked engine *)
+  let senders = Array.make n (-1) in
+  let surviving =
+    Schedule.make ~name:"faults" ~n ~mode:(Systolic.mode p) ~period:1
+      ~sender:(fun _ v -> senders.(v))
+  in
   let drops = ref 0 and activations = ref 0 in
   let completed = ref None in
   let i = ref 0 in
   while !completed = None && !i < cap do
     let round = Systolic.period_round p !i in
-    let surviving =
-      List.filter
-        (fun arc ->
-          incr activations;
-          if drop_arc arc then begin
-            incr drops;
-            false
-          end
-          else true)
-        round
-    in
-    (* dropping arcs from a matching keeps it a matching, so the
-       synchronous engine applies unchanged *)
-    Engine.apply_round st surviving;
+    (* one decider call per activation, in round order: the draw order
+       that makes a seed reproduce its run *)
+    List.iter
+      (fun ((x, y) as arc) ->
+        incr activations;
+        if drop_arc arc then incr drops else senders.(y) <- x)
+      round;
+    Chunked.apply_round ~domains:1 st surviving !i;
+    List.iter (fun (_, y) -> senders.(y) <- -1) round;
     incr i;
-    if Engine.all_complete st then completed := Some !i
+    if Chunked.complete st then completed := Some !i
   done;
   {
     completed_at = !completed;
@@ -163,52 +166,6 @@ let implicit_gossip ?domains ?cap ?checkpoint_every ?items sched
   let st = Chunked.create ?items (Schedule.n_vertices sched) in
   (st, Chunked.run ?domains ?cap ?checkpoint_every st sched)
 
-let gossip_time_with_faults ?cap p ~drop_probability ~seed =
-  if drop_probability < 0.0 || drop_probability > 1.0 then
-    invalid_arg "Faults: drop_probability must be in [0, 1]";
-  run ?cap p ~model:(Iid { p = drop_probability }) ~seed
-
-type slowdown_point = {
-  probability : float;
-  mean : float option;
-  completed : int;
-  trials : int;
-}
-
-let slowdown_curve ?cap ?(trials = 5) p ~probabilities ~seed =
-  List.map
-    (fun prob ->
-      let times = ref [] in
-      for t = 1 to trials do
-        match
-          gossip_time_with_faults ?cap p ~drop_probability:prob
-            ~seed:(seed + (t * 7919))
-        with
-        | { completed_at = Some time; _ } -> times := time :: !times
-        | { completed_at = None; _ } -> ()
-      done;
-      let completed = List.length !times in
-      let mean =
-        match !times with
-        | [] -> None
-        | ts ->
-            Some
-              (float_of_int (List.fold_left ( + ) 0 ts)
-              /. float_of_int completed)
-      in
-      { probability = prob; mean; completed; trials })
-    probabilities
-
-let point_to_json pt =
-  let module J = Gossip_util.Json in
-  J.Obj
-    [
-      ("probability", J.Float pt.probability);
-      ("mean", match pt.mean with Some m -> J.Float m | None -> J.Null);
-      ("completed", J.Int pt.completed);
-      ("trials", J.Int pt.trials);
-    ]
-
 type curve_point = {
   cp_model : model;
   cp_mean : float option;
@@ -218,15 +175,10 @@ type curve_point = {
 }
 
 let curve ?cap ?(trials = 5) p ~models ~seed =
+  if trials < 1 then invalid_arg "Faults: trials must be >= 1";
   (* resolve the default cap here so every point records the round budget
-     it actually ran under (run's default, made explicit) *)
-  let cap =
-    match cap with
-    | Some c -> c
-    | None ->
-        let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
-        (16 * Systolic.period p * n) + 64
-  in
+     it actually ran under *)
+  let cap = match cap with Some c -> c | None -> default_cap p in
   List.map
     (fun model ->
       let times = ref [] in
@@ -268,7 +220,5 @@ let curve_point_to_json pt =
         ("trials", J.Int pt.cp_trials);
         ("cap", J.Int pt.cp_cap);
         ( "completed_fraction",
-          J.Float
-            (if pt.cp_trials = 0 then 0.0
-             else float_of_int pt.cp_completed /. float_of_int pt.cp_trials) );
+          J.Float (float_of_int pt.cp_completed /. float_of_int pt.cp_trials) );
       ])

@@ -47,7 +47,10 @@ val model_name : model -> string
 
 (** [run ?cap p ~model ~seed] — one faulted run.  [cap] defaults to
     [16 · period · n + 64] rounds, after which [completed_at = None].
-    With [Iid] this reproduces {!gossip_time_with_faults} draw for draw.
+    The model decides every activation once, in round order, from
+    streams seeded by [seed]; the surviving arcs of each round run on a
+    {!Chunked} state over all [n] items, so [Iid {p = 0.}] and
+    [Permanent {k = 0}] reproduce {!Engine.gossip_time} under this cap.
     [Permanent {k}] requires [k <= m] where [m] is the number of
     distinct arcs in one period (killing more arcs than the period
     carries is a spec error, not an empty run).
@@ -81,47 +84,11 @@ val implicit_gossip :
   seed:int ->
   Chunked.state * Chunked.outcome
 
-(** [gossip_time_with_faults ?cap p ~drop_probability ~seed] runs the
-    systolic protocol with i.i.d. arc drops.
-    @raise Invalid_argument unless [0 ≤ drop_probability ≤ 1]. *)
-val gossip_time_with_faults :
-  ?cap:int ->
-  Gossip_protocol.Systolic.t ->
-  drop_probability:float ->
-  seed:int ->
-  outcome
-
-(** One drop probability on a slowdown curve.  The mean is taken over the
-    {e completing} trials only, so it is meaningless without [completed]:
-    at high drop rates a protocol can look "fast" because only its lucky
-    runs finish.  [completed]/[trials] makes the survivorship explicit. *)
-type slowdown_point = {
-  probability : float;
-  mean : float option;
-      (** mean completion round over completing trials; [None] when no
-          trial completed within the cap *)
-  completed : int;  (** trials that completed within the cap *)
-  trials : int;  (** trials attempted *)
-}
-
-(** [slowdown_curve ?cap ?trials p ~probabilities ~seed] — one
-    {!slowdown_point} per drop probability ([trials] defaults to 5). *)
-val slowdown_curve :
-  ?cap:int ->
-  ?trials:int ->
-  Gossip_protocol.Systolic.t ->
-  probabilities:float list ->
-  seed:int ->
-  slowdown_point list
-
-(** [point_to_json pt] — [{probability, mean, completed, trials}] with
-    [mean = null] when no trial completed; the element schema of the
-    ["curve"] array in [gossip_lab faults --json] under the i.i.d.
-    model. *)
-val point_to_json : slowdown_point -> Gossip_util.Json.t
-
-(** One fault model on a multi-model curve; same survivorship caveat as
-    {!slowdown_point}. *)
+(** One fault model on a curve.  The mean is taken over the
+    {e completing} trials only, so it is meaningless without
+    [cp_completed]: at high fault rates a protocol can look "fast"
+    because only its lucky runs finish.  [cp_completed]/[cp_trials]
+    makes the survivorship explicit. *)
 type curve_point = {
   cp_model : model;
   cp_mean : float option;
@@ -131,8 +98,10 @@ type curve_point = {
 }
 
 (** [curve ?cap ?trials p ~models ~seed] — one {!curve_point} per model
-    ([trials] defaults to 5; trial [t] runs with seed [seed + 7919·t],
-    matching {!slowdown_curve}'s offsets). *)
+    ([trials] defaults to 5; trial [t = 1..trials] runs with seed
+    [seed + 7919·t]; [cap] defaults to {!run}'s).
+    @raise Invalid_argument on [trials < 1], or as {!run} does on an
+    invalid model. *)
 val curve :
   ?cap:int ->
   ?trials:int ->

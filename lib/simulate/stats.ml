@@ -1,4 +1,4 @@
-module Bitset = Gossip_util.Bitset
+module Schedule = Gossip_protocol.Schedule
 module Systolic = Gossip_protocol.Systolic
 
 let arrival_times p ~horizon =
@@ -7,16 +7,15 @@ let arrival_times p ~horizon =
   for v = 0 to n - 1 do
     arrival.(v).(v) <- 0
   done;
-  let st = Engine.initial_state n in
+  let sched = Schedule.of_systolic p in
+  let st = Chunked.create n in
   let round = ref 0 in
-  let complete () = Engine.all_complete st in
-  while !round < horizon && not (complete ()) do
-    Engine.apply_round st (Systolic.period_round p !round);
+  while !round < horizon && not (Chunked.complete st) do
+    Chunked.apply_round ~domains:1 st sched !round;
     incr round;
     for v = 0 to n - 1 do
-      let know = Engine.knowledge st v in
       for item = 0 to n - 1 do
-        if arrival.(item).(v) = max_int && Bitset.mem know item then
+        if arrival.(item).(v) = max_int && Chunked.knows st v item then
           arrival.(item).(v) <- !round
       done
     done
@@ -69,11 +68,12 @@ let summarize ?horizon p =
 
 let newly_informed p ~horizon =
   let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
-  let st = Engine.initial_state n in
-  let prev = ref (Engine.items_known st) in
+  let sched = Schedule.of_systolic p in
+  let st = Chunked.create n in
+  let prev = ref (Chunked.items_known st) in
   Array.init horizon (fun i ->
-      Engine.apply_round st (Systolic.period_round p i);
-      let now = Engine.items_known st in
+      Chunked.apply_round ~domains:1 st sched i;
+      let now = Chunked.items_known st in
       let delta = now - !prev in
       prev := now;
       delta)
@@ -85,20 +85,25 @@ let message_complexity ?horizon p =
   let horizon =
     match horizon with Some h -> h | None -> (8 * Systolic.period p * n) + 64
   in
-  let st = Engine.initial_state n in
+  let sched = Schedule.of_systolic p in
+  let st = Chunked.create n in
+  (* an activation is useful when, at the start of its round, the sender
+     knows an item the receiver does not *)
+  let teaches (x, y) =
+    let rec go i =
+      i < n && ((Chunked.knows st x i && not (Chunked.knows st y i)) || go (i + 1))
+    in
+    go 0
+  in
   let transmissions = ref 0 and useful = ref 0 in
   let rounds = ref 0 in
-  while !rounds < horizon && not (Engine.all_complete st) do
-    let round = Systolic.period_round p !rounds in
-    let before =
-      List.map (fun (_, y) -> Bitset.cardinal (Engine.knowledge st y)) round
-    in
-    Engine.apply_round st round;
-    List.iter2
-      (fun (_, y) b ->
+  while !rounds < horizon && not (Chunked.complete st) do
+    List.iter
+      (fun arc ->
         incr transmissions;
-        if Bitset.cardinal (Engine.knowledge st y) > b then incr useful)
-      round before;
+        if teaches arc then incr useful)
+      (Systolic.period_round p !rounds);
+    Chunked.apply_round ~domains:1 st sched !rounds;
     incr rounds
   done;
   { transmissions = !transmissions; useful = !useful; rounds = !rounds }

@@ -3,7 +3,9 @@
     The lower-bound story is about the {e last} item to arrive; these
     helpers expose the whole distribution — per-item arrival times, the
     dissemination curve, per-round throughput — which the examples use to
-    show {e where} a protocol loses time, not just how much. *)
+    show {e where} a protocol loses time, not just how much.  Every
+    helper runs the protocol on a {!Chunked} state tracking all [n]
+    items, on the calling domain — the same executor as {!Engine}. *)
 
 (** [arrival_times p ~horizon] runs the systolic protocol for [horizon]
     rounds and returns the matrix [a] with [a.(item).(vertex)] the first
@@ -22,7 +24,7 @@ type summary = {
 }
 
 (** [summarize ?horizon p] computes the summary (default horizon =
-    {!Gossip_simulate.Engine} default cap). *)
+    {!Engine.gossip_time}'s default cap, [8·s·n + 64]). *)
 val summarize : ?horizon:int -> Gossip_protocol.Systolic.t -> summary
 
 (** [newly_informed p ~horizon] — for each executed round, how many
@@ -37,7 +39,9 @@ val newly_informed : Gossip_protocol.Systolic.t -> horizon:int -> int array
     obliviousness. *)
 type message_costs = {
   transmissions : int;  (** arc activations executed *)
-  useful : int;  (** activations that taught the receiver something *)
+  useful : int;
+      (** activations whose sender knew, at the start of the round, an
+          item the receiver did not *)
   rounds : int;  (** rounds executed (to completion or the horizon) *)
 }
 

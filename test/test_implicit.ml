@@ -1,8 +1,8 @@
 (* Tests for the implicit simulation stack: slot-function topologies
    pinned against the materialized families, Schedule generators
    validated through Protocol.make, and the chunked blockwise engine
-   proved bit-for-bit equivalent to the legacy Engine on small
-   instances. *)
+   checked bit for bit against the literal Section 3 rule (test/section3.ml)
+   on small instances. *)
 
 open Gossip_topology
 open Gossip_protocol
@@ -163,13 +163,7 @@ let test_of_systolic_is_inverse () =
       (Schedule.round_arcs sched i = expected)
   done
 
-(* --- chunked engine: bit-for-bit equivalence with the legacy Engine --- *)
-
-let engine_run sys =
-  let curve = ref [] in
-  let probe ~round:_ ~coverage = curve := coverage :: !curve in
-  let time = Engine.gossip_time ~probe sys in
-  (time, List.rev !curve)
+(* --- chunked engine: bit-for-bit equivalence with Section 3 --- *)
 
 let chunked_run ?(domains = 1) ?items sched =
   let st = Chunked.create ?items (Schedule.n_vertices sched) in
@@ -183,7 +177,7 @@ let test_chunked_matches_engine () =
         (fun (name, imp, sched) ->
           let g = Implicit.materialize imp in
           let sys = Schedule.to_systolic sched g in
-          let time, curve = engine_run sys in
+          let time, curve = Section3.gossip sys in
           let _, outcome = chunked_run sched in
           check_int
             (Printf.sprintf "%s (fd=%b): same completion round" name
@@ -204,7 +198,7 @@ let test_chunked_broadcast_matches_engine () =
     (fun (name, imp, sched) ->
       let g = Implicit.materialize imp in
       let sys = Schedule.to_systolic sched g in
-      let bt = get (Engine.broadcast_time sys ~src:0) in
+      let bt = get (fst (Section3.broadcast sys ~src:0)) in
       let _, outcome = chunked_run ~items:1 sched in
       check_int (name ^ ": items=1 is broadcast of item 0") bt
         (get outcome.Chunked.time))
@@ -247,7 +241,7 @@ let test_chunked_multiword_equivalence () =
   let sched = Schedule.cycle_alternating ~n:100 ~full_duplex:true in
   let g = Families.cycle 100 in
   let sys = Schedule.to_systolic sched g in
-  let time, _ = engine_run sys in
+  let time, _ = Section3.gossip sys in
   let _, outcome = chunked_run sched in
   check_int "100-cycle same completion" (get time) (get outcome.Chunked.time)
 

@@ -167,14 +167,15 @@ let test_broadcast_greedy_completes () =
     (fun (g, mode) ->
       let p = Broadcast_protocol.greedy_schedule g ~src:0 ~mode in
       (* run it: every vertex must know item 0 at the end *)
-      let st =
-        Gossip_simulate.Engine.initial_state (Digraph.n_vertices g)
-      in
-      List.iter (Gossip_simulate.Engine.apply_round st) (Protocol.rounds p);
+      let module Chunked = Gossip_simulate.Chunked in
+      let st = Chunked.create ~items:1 (Digraph.n_vertices g) in
+      let sched = Schedule.of_systolic (Systolic.of_protocol p) in
+      for i = 0 to Protocol.length p - 1 do
+        Chunked.apply_round ~domains:1 st sched i
+      done;
       let ok = ref true in
       for v = 0 to Digraph.n_vertices g - 1 do
-        if not (Gossip_util.Bitset.mem (Gossip_simulate.Engine.knowledge st v) 0)
-        then ok := false
+        if not (Chunked.knows st v 0) then ok := false
       done;
       check (Digraph.name g ^ " broadcast completes") true !ok;
       (* speed: within 3x of the trivial lower bound *)

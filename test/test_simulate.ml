@@ -5,7 +5,6 @@
 open Gossip_topology
 open Gossip_protocol
 open Gossip_simulate
-module Bitset = Gossip_util.Bitset
 module Json = Gossip_util.Json
 
 let check = Alcotest.(check bool)
@@ -13,50 +12,58 @@ let check_int = Alcotest.(check int)
 
 let get = function Some x -> x | None -> Alcotest.fail "expected completion"
 
+(* [apply_arcs st arcs] runs one explicit matching on [st] as the only
+   round of a one-round schedule. *)
+let apply_arcs st arcs =
+  let n = Chunked.n_vertices st in
+  let senders = Array.make n (-1) in
+  List.iter (fun (x, y) -> senders.(y) <- x) arcs;
+  Chunked.apply_round ~domains:1 st
+    (Schedule.make ~name:"arcs" ~n ~mode:Protocol.Directed ~period:1
+       ~sender:(fun _ v -> senders.(v)))
+    0
+
+(* the items [v] knows, in increasing order *)
+let known st v =
+  List.filter (Chunked.knows st v) (List.init (Chunked.items st) Fun.id)
+
 let test_initial_state () =
-  let st = Engine.initial_state 4 in
-  check_int "items known initially" 4 (Engine.items_known st);
+  let st = Chunked.create 4 in
+  check_int "items known initially" 4 (Chunked.items_known st);
   check "each knows own item" true
-    (List.for_all
-       (fun v -> Bitset.mem (Engine.knowledge st v) v)
-       [ 0; 1; 2; 3 ]);
-  check "knows nothing else" false (Bitset.mem (Engine.knowledge st 0) 1);
-  check "not complete" false (Engine.all_complete st)
+    (List.for_all (fun v -> Chunked.knows st v v) [ 0; 1; 2; 3 ]);
+  check "knows nothing else" false (Chunked.knows st 0 1);
+  check "not complete" false (Chunked.complete st)
 
 let test_apply_round_directed () =
-  let st = Engine.initial_state 3 in
-  Engine.apply_round st [ (0, 1) ];
-  check "1 learned 0" true (Bitset.mem (Engine.knowledge st 1) 0);
-  check "0 learned nothing" false (Bitset.mem (Engine.knowledge st 0) 1);
-  Engine.apply_round st [ (1, 2) ];
-  check "2 learned both" true
-    (Bitset.mem (Engine.knowledge st 2) 0 && Bitset.mem (Engine.knowledge st 2) 1)
+  let st = Chunked.create 3 in
+  apply_arcs st [ (0, 1) ];
+  check "1 learned 0" true (Chunked.knows st 1 0);
+  check "0 learned nothing" false (Chunked.knows st 0 1);
+  apply_arcs st [ (1, 2) ];
+  check "2 learned both" true (Chunked.knows st 2 0 && Chunked.knows st 2 1)
 
 let test_apply_round_exchange_snapshots () =
   (* full-duplex exchange must swap start-of-round knowledge, not leak
      within-round updates *)
-  let st = Engine.initial_state 2 in
-  Engine.apply_round st [ (0, 1); (1, 0) ];
-  check "both complete after one exchange" true (Engine.all_complete st);
+  let st = Chunked.create 2 in
+  apply_arcs st [ (0, 1); (1, 0) ];
+  check "both complete after one exchange" true (Chunked.complete st);
   (* three vertices: chain of two exchanges in successive rounds *)
-  let st = Engine.initial_state 3 in
-  Engine.apply_round st [ (0, 1); (1, 0) ];
-  check "2 still isolated" true
-    (Bitset.cardinal (Engine.knowledge st 2) = 1)
+  let st = Chunked.create 3 in
+  apply_arcs st [ (0, 1); (1, 0) ];
+  check "2 still isolated" true (known st 2 = [ 2 ])
 
 let test_snapshot_needed_case () =
   (* round (0->1) and (1->2) is NOT a matching, but apply_round must still
      be correct for matchings where a sender is also a receiver only via
-     the opposite arc; verify the snapshot logic using a full-duplex pair
-     plus observer *)
-  let st = Engine.initial_state 4 in
-  Engine.apply_round st [ (0, 1); (1, 0); (2, 3) ];
-  check "0 has {0,1}" true
-    (Bitset.elements (Engine.knowledge st 0) = [ 0; 1 ]);
-  check "1 has {0,1}" true
-    (Bitset.elements (Engine.knowledge st 1) = [ 0; 1 ]);
-  check "3 has {2,3}" true
-    (Bitset.elements (Engine.knowledge st 3) = [ 2; 3 ])
+     the opposite arc; verify the exchange using a full-duplex pair plus
+     observer *)
+  let st = Chunked.create 4 in
+  apply_arcs st [ (0, 1); (1, 0); (2, 3) ];
+  check "0 has {0,1}" true (known st 0 = [ 0; 1 ]);
+  check "1 has {0,1}" true (known st 1 = [ 0; 1 ]);
+  check "3 has {2,3}" true (known st 3 = [ 2; 3 ])
 
 let test_run_protocol () =
   let g = Families.path 3 in
@@ -91,21 +98,22 @@ let test_items_known_incremental () =
   let recount st n =
     let acc = ref 0 in
     for v = 0 to n - 1 do
-      acc := !acc + Bitset.cardinal (Engine.knowledge st v)
+      acc := !acc + List.length (known st v)
     done;
     !acc
   in
   let sys = Builders.edge_coloring_full_duplex (Families.kautz 2 3) in
+  let sched = Schedule.of_systolic sys in
   let n = Digraph.n_vertices (Systolic.graph sys) in
-  let st = Engine.initial_state n in
+  let st = Chunked.create n in
   for i = 0 to 29 do
-    Engine.apply_round st (Systolic.period_round sys i);
+    Chunked.apply_round ~domains:1 st sched i;
     check_int
       (Printf.sprintf "incremental = rescan after round %d" i)
-      (recount st n) (Engine.items_known st)
+      (recount st n) (Chunked.items_known st)
   done;
   check "complete iff count says so" true
-    (Engine.all_complete st = (Engine.items_known st = n * n))
+    (Chunked.complete st = (Chunked.items_known st = n * n))
 
 let test_gossip_cap () =
   (* a protocol that never completes: only one edge of the path ever used *)
@@ -148,57 +156,65 @@ let test_per_round_coverage_monotone () =
 
 (* --- Faults --- *)
 
+let iid p = Faults.Iid { p }
+
 let test_faults_p0_matches_baseline () =
   let sys = Builders.cycle_rotate 12 in
   let base = Option.get (Engine.gossip_time sys) in
-  let o = Faults.gossip_time_with_faults sys ~drop_probability:0.0 ~seed:3 in
+  let o = Faults.run sys ~model:(iid 0.0) ~seed:3 in
   check "p=0 matches fault-free" true (o.Faults.completed_at = Some base);
   check "no drops at p=0" true (o.Faults.drops = 0)
 
 let test_faults_p1_never_completes () =
   let sys = Builders.cycle_rotate 8 in
-  let o = Faults.gossip_time_with_faults ~cap:100 sys ~drop_probability:1.0 ~seed:3 in
+  let o = Faults.run ~cap:100 sys ~model:(iid 1.0) ~seed:3 in
   check "p=1 never completes" true (o.Faults.completed_at = None);
   check "everything dropped" true (o.Faults.drops = o.Faults.activations)
 
 let test_faults_deterministic () =
   let sys = Builders.hypercube_sweep ~dim:4 ~full_duplex:false in
-  let a = Faults.gossip_time_with_faults sys ~drop_probability:0.3 ~seed:11 in
-  let b = Faults.gossip_time_with_faults sys ~drop_probability:0.3 ~seed:11 in
+  let a = Faults.run sys ~model:(iid 0.3) ~seed:11 in
+  let b = Faults.run sys ~model:(iid 0.3) ~seed:11 in
   check "same seed same outcome" true (a = b);
-  let c = Faults.gossip_time_with_faults sys ~drop_probability:0.3 ~seed:12 in
+  let c = Faults.run sys ~model:(iid 0.3) ~seed:12 in
   check "different seed may differ in drops" true
     (c.Faults.activations > 0)
 
 let test_faults_slowdown () =
   let sys = Builders.hypercube_sweep ~dim:4 ~full_duplex:false in
   let base = Option.get (Engine.gossip_time sys) in
-  let o = Faults.gossip_time_with_faults sys ~drop_probability:0.2 ~seed:5 in
+  let o = Faults.run sys ~model:(iid 0.2) ~seed:5 in
   (match o.Faults.completed_at with
   | Some t -> check "faulty time >= fault-free" true (t >= base)
   | None -> ());
-  let curve = Faults.slowdown_curve sys ~probabilities:[ 0.0; 0.2 ] ~seed:5 in
-  let point p =
-    List.find (fun pt -> pt.Faults.probability = p) curve
+  let curve = Faults.curve sys ~models:[ iid 0.0; iid 0.2 ] ~seed:5 in
+  let p0, p2 =
+    match curve with [ p0; p2 ] -> (p0, p2) | _ -> Alcotest.fail "two points"
   in
-  let p0 = point 0.0 and p2 = point 0.2 in
   check "fault-free trials all complete" true
-    (p0.Faults.completed = p0.Faults.trials);
+    (p0.Faults.cp_completed = p0.Faults.cp_trials);
   check "completed never exceeds trials" true
-    (List.for_all (fun pt -> pt.Faults.completed <= pt.Faults.trials) curve);
-  (match (p0.Faults.mean, p2.Faults.mean) with
+    (List.for_all (fun pt -> pt.Faults.cp_completed <= pt.Faults.cp_trials) curve);
+  (match (p0.Faults.cp_mean, p2.Faults.cp_mean) with
   | Some t0, Some t2 -> check "curve increases" true (t2 >= t0)
   | _ -> Alcotest.fail "curve incomplete");
   check "mean iff completed > 0" true
     (List.for_all
-       (fun pt -> (pt.Faults.mean <> None) = (pt.Faults.completed > 0))
-       curve)
+       (fun pt -> (pt.Faults.cp_mean <> None) = (pt.Faults.cp_completed > 0))
+       curve);
+  (* the points the i.i.d. slowdown curve gave for this protocol and
+     seed: 5/5 trials each, means 8 and 15 *)
+  check "recorded slowdown points" true
+    (List.map
+       (fun pt -> (pt.Faults.cp_mean, pt.Faults.cp_completed, pt.Faults.cp_trials))
+       curve
+    = [ (Some 8.0, 5, 5); (Some 15.0, 5, 5) ])
 
 let test_faults_validation () =
   let sys = Builders.cycle_rotate 8 in
   Alcotest.check_raises "bad probability"
     (Invalid_argument "Faults: drop_probability must be in [0, 1]") (fun () ->
-      ignore (Faults.gossip_time_with_faults sys ~drop_probability:1.5 ~seed:0));
+      ignore (Faults.run sys ~model:(iid 1.5) ~seed:0));
   Alcotest.check_raises "negative k"
     (Invalid_argument "Faults: k must be >= 0") (fun () ->
       ignore (Faults.run sys ~model:(Faults.Permanent { k = -1 }) ~seed:0));
@@ -212,17 +228,22 @@ let test_faults_validation () =
 (* --- fault models beyond i.i.d. --- *)
 
 let test_faults_iid_model_matches_legacy () =
-  (* [run ~model:Iid] must reproduce [gossip_time_with_faults] draw for
-     draw: same seed, same outcome, byte for byte *)
+  (* [run ~model:Iid] must reproduce the outcomes the legacy i.i.d. entry
+     point recorded for this protocol and seed, draw for draw *)
   let sys = Builders.hypercube_sweep ~dim:4 ~full_duplex:false in
   List.iter
-    (fun p ->
-      let legacy =
-        Faults.gossip_time_with_faults sys ~drop_probability:p ~seed:11
-      in
-      let modern = Faults.run sys ~model:(Faults.Iid { p }) ~seed:11 in
-      check "iid model = legacy path" true (legacy = modern))
-    [ 0.0; 0.1; 0.3; 0.6 ]
+    (fun (p, completed_at, drops, activations) ->
+      check
+        (Printf.sprintf "iid model = legacy path at p = %.1f" p)
+        true
+        (Faults.run sys ~model:(iid p) ~seed:11
+        = { Faults.completed_at; drops; activations; failed_arcs = [] }))
+    [
+      (0.0, Some 8, 0, 64);
+      (0.1, Some 9, 3, 72);
+      (0.3, Some 25, 46, 200);
+      (0.6, Some 67, 320, 536);
+    ]
 
 let test_faults_permanent_k0_matches_baseline () =
   let sys = Builders.cycle_rotate 12 in
@@ -351,13 +372,14 @@ let prop_knowledge_monotone =
           ~density:0.8
       in
       let n = Digraph.n_vertices g in
-      let st = Engine.initial_state n in
+      let sched = Schedule.of_systolic sys in
+      let st = Chunked.create n in
       let ok = ref true in
       for i = 0 to (4 * period) - 1 do
-        let before = Array.init n (fun v -> Bitset.copy (Engine.knowledge st v)) in
-        Engine.apply_round st (Systolic.period_round sys i);
+        let before = Array.init n (known st) in
+        Chunked.apply_round ~domains:1 st sched i;
         for v = 0 to n - 1 do
-          if not (Bitset.subset before.(v) (Engine.knowledge st v)) then
+          if not (List.for_all (Chunked.knows st v) before.(v)) then
             ok := false
         done
       done;
@@ -392,17 +414,103 @@ let prop_items_bounded_by_activations =
         Builders.random_systolic g Protocol.Half_duplex ~period:4 ~seed
           ~density:1.0
       in
-      let st = Engine.initial_state n in
+      let sched = Schedule.of_systolic sys in
+      let st = Chunked.create n in
       let budget = ref 0 in
       let ok = ref true in
       for i = 0 to 19 do
         let round = Systolic.period_round sys i in
         (* each arc (x,y) can add at most |know(x)| <= n items *)
         budget := !budget + (List.length round * n);
-        Engine.apply_round st round;
-        if Engine.items_known st > n + !budget then ok := false
+        Chunked.apply_round ~domains:1 st sched i;
+        if Chunked.items_known st > n + !budget then ok := false
       done;
       !ok)
+
+let test_faults_curve_rejects_no_trials () =
+  Alcotest.check_raises "trials = 0"
+    (Invalid_argument "Faults: trials must be >= 1") (fun () ->
+      ignore
+        (Faults.curve ~trials:0 (Builders.cycle_rotate 8) ~models:[ iid 0.0 ]
+           ~seed:1))
+
+let test_broadcast_rejects_bad_src () =
+  (* outside [0, n) no vertex can ever know the item: without the check
+     the run would exhaust its cap and read as "never completes" *)
+  let sys = Builders.hypercube_sweep ~dim:4 ~full_duplex:false in
+  List.iter
+    (fun src ->
+      Alcotest.check_raises
+        (Printf.sprintf "src = %d" src)
+        (Invalid_argument
+           (Printf.sprintf "Engine.broadcast_time: src %d outside [0, 16)" src))
+        (fun () -> ignore (Engine.broadcast_time sys ~src)))
+    [ 99; 16; -1 ]
+
+let test_faults_run_goldens () =
+  (* exact outcomes recorded for one full-duplex protocol and seed: a
+     port that reordered draws, or mishandled an exchange that lost one
+     direction, changes them *)
+  let sys = Builders.edge_coloring_full_duplex (Families.de_bruijn 2 4) in
+  List.iter
+    (fun (name, model, completed_at, drops, activations, failed_arcs) ->
+      check (name ^ " golden") true
+        (Faults.run sys ~model ~seed:11
+        = { Faults.completed_at; drops; activations; failed_arcs }))
+    [
+      ("iid", iid 0.3, Some 14, 36, 164, []);
+      ("permanent", Faults.Permanent { k = 2 }, Some 11, 5, 128,
+       [ (1, 8); (12, 9) ]);
+      ("bursty", Faults.Bursty { p_fail = 0.15; p_recover = 0.3 }, Some 13,
+       27, 154, []);
+    ]
+
+(* Engine against the literal Section 3 rule: completion round and
+   coverage curve of gossip and of broadcast from a random source, on
+   random protocols with idle vertices in all three modes. *)
+let oracle_cases =
+  [
+    (Families.de_bruijn_directed 2 3, Protocol.Directed);
+    (Families.kautz_directed 2 3, Protocol.Directed);
+  ]
+  @ List.concat_map
+      (fun g -> [ (g, Protocol.Half_duplex); (g, Protocol.Full_duplex) ])
+      [ Families.de_bruijn 2 3; Families.kautz 2 3; Families.grid 3 3 ]
+
+let prop_engine_matches_section3 =
+  QCheck.Test.make ~name:"engine = Section 3 oracle" ~count:200
+    QCheck.(
+      pair
+        (triple (int_bound (List.length oracle_cases - 1)) (int_range 0 10_000)
+           (int_range 1 6))
+        (pair (int_range 3 9) small_nat))
+    (fun ((case, seed, period), (tenths, pick)) ->
+      let g, mode = List.nth oracle_cases case in
+      let sys =
+        Builders.random_systolic g mode ~period ~seed
+          ~density:(float_of_int tenths /. 10.0)
+      in
+      let src = pick mod Digraph.n_vertices g in
+      let run = Engine.gossip_run sys in
+      let curve = ref [] in
+      let broadcast =
+        Engine.broadcast_time sys ~src
+          ~probe:(fun ~round:_ ~coverage -> curve := coverage :: !curve)
+      in
+      let time, oracle_curve = Section3.gossip sys in
+      Engine.gossip_time sys = time
+      && run.Engine.time = time
+      && Array.to_list run.Engine.curve = oracle_curve
+      && (broadcast, List.rev !curve) = Section3.broadcast sys ~src)
+
+let test_run_protocol_no_rounds () =
+  (* a protocol with no rounds is not a one-period systolic protocol, so
+     the engine answers it without running anything *)
+  let p = Protocol.make (Families.path 3) Protocol.Half_duplex [] in
+  let o = Engine.run_protocol p in
+  check "never completes" true (o.Engine.completed_at = None);
+  check_int "no rounds run" 0 o.Engine.rounds_run;
+  check "own items only" true (o.Engine.coverage = 3.0 /. 9.0)
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -433,4 +541,9 @@ let suite =
     q prop_knowledge_monotone;
     q prop_gossip_at_least_diameter;
     q prop_items_bounded_by_activations;
+    ("faults curve rejects trials < 1", `Quick, test_faults_curve_rejects_no_trials);
+    ("broadcast rejects src outside [0, n)", `Quick, test_broadcast_rejects_bad_src);
+    ("faults run goldens", `Quick, test_faults_run_goldens);
+    q prop_engine_matches_section3;
+    ("run protocol with no rounds", `Quick, test_run_protocol_no_rounds);
   ]
