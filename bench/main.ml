@@ -1594,11 +1594,12 @@ let print_cluster_bench () =
 (* Part 28: adversarial fault certification throughput              *)
 (* ---------------------------------------------------------------- *)
 
-(* The certifier's unit of work is one pattern simulation (with_drops
-   wrapper + chunked run to completion or cap).  The k = 2 exhaustive
-   certification of the augmented 12-cycle — 2629 patterns, every one
-   completing — is the steady-state shape, so patterns/sec from it is
-   the regression gauge. *)
+(* The certifier's unit of work is one pattern simulation (the pattern's
+   arcs knocked out of the scheme's sender tables by
+   [Schedule.without_arcs], then a chunked run to completion or cap).
+   The k = 2 exhaustive certification of the augmented 12-cycle — 2629
+   patterns, every one completing — is the steady-state shape, so
+   patterns/sec from it is the regression gauge. *)
 let print_fault_cert_bench () =
   let module Schedule = Protocol.Schedule in
   let module Fault_tolerant = Protocol.Fault_tolerant in

@@ -932,6 +932,9 @@ let ft_fd_arg =
 
 let certify_faults_cmd =
   let run () family n d k budget seed period cap slack full_duplex harden json =
+    if Option.value ~default:1 cap < 1 then
+      `Error (true, "option '--cap': value must be at least 1")
+    else
     match resolve_hardened ~family ~n ~degree:d ~period ~seed ~full_duplex
             ~harden ~k
     with

@@ -9,45 +9,85 @@ type t = {
   sender : int -> int -> int;
   nomination : (int * (int -> int -> int)) option;
       (* (pairings, candidate): set by [proposal] only *)
+  tables : int array array option;
+      (* one receiver-indexed sender table per period round: set by
+         [of_systolic], [tabulate] and [without_arcs] only *)
 }
 
 let make ~name ~n ~mode ~period ~sender =
   if n < 0 then invalid_arg "Schedule.make: negative vertex count";
   if period < 1 then invalid_arg "Schedule.make: period must be >= 1";
-  { name; n; mode; period; sender; nomination = None }
+  { name; n; mode; period; sender; nomination = None; tables = None }
 
 let name t = t.name
 let n_vertices t = t.n
 let mode t = t.mode
 let period t = t.period
 let nomination t = t.nomination
+let tables t = t.tables
 
 let sender t round v =
   if round < 0 then invalid_arg "Schedule.sender: negative round";
   t.sender round v
+
+(* --- tabled schedules: one period of receiver-indexed sender tables -- *)
+
+let of_tables ~name ~n ~mode tables =
+  let s = Array.length tables in
+  {
+    name;
+    n;
+    mode;
+    period = s;
+    sender = (fun r v -> tables.(r mod s).(v));
+    nomination = None;
+    tables = Some tables;
+  }
+
+let tabulate t =
+  match t.tables with
+  | Some _ -> t
+  | None ->
+      of_tables ~name:t.name ~n:t.n ~mode:t.mode
+        (Array.init t.period (fun r ->
+             let snd = Array.make (max 1 t.n) (-1) in
+             for v = 0 to t.n - 1 do
+               snd.(v) <- t.sender r v
+             done;
+             snd))
+
+let without_arcs t dead =
+  let t = tabulate t in
+  let base = Option.get t.tables in
+  let tables = Array.copy base in
+  List.iter
+    (fun (u, v) ->
+      if u >= 0 && v >= 0 && v < t.n then
+        Array.iteri
+          (fun i snd ->
+            if snd.(v) = u then begin
+              (* copy a round's table the first time it changes; the
+                 rounds left alone stay shared with [t] *)
+              let snd = if snd == base.(i) then Array.copy snd else snd in
+              snd.(v) <- -1;
+              tables.(i) <- snd
+            end)
+          tables)
+    dead;
+  of_tables ~name:t.name ~n:t.n ~mode:t.mode tables
 
 (* --- the materialized protocols as one instance ---------------------- *)
 
 let of_systolic sys =
   let g = Systolic.graph sys in
   let n = Digraph.n_vertices g in
-  let s = Systolic.period sys in
   (* receiver-indexed sender tables, one per period round: a round is a
      matching, so every receiver has exactly one sender *)
-  let tables =
-    Array.init s (fun i ->
-        let snd = Array.make (max 1 n) (-1) in
-        List.iter (fun (x, y) -> snd.(y) <- x) (Systolic.period_round sys i);
-        snd)
-  in
-  {
-    name = Digraph.name g;
-    n;
-    mode = Systolic.mode sys;
-    period = s;
-    sender = (fun r v -> tables.(r mod s).(v));
-    nomination = None;
-  }
+  of_tables ~name:(Digraph.name g) ~n ~mode:(Systolic.mode sys)
+    (Array.init (Systolic.period sys) (fun i ->
+         let snd = Array.make (max 1 n) (-1) in
+         List.iter (fun (x, y) -> snd.(y) <- x) (Systolic.period_round sys i);
+         snd))
 
 (* --- bridging back to the materialized world (small n only) ---------- *)
 
@@ -71,6 +111,7 @@ let with_drops t ~drop =
     t with
     name = t.name ^ "+drops";
     nomination = None;
+    tables = None;
     sender =
       (fun r v ->
         let x = t.sender r v in

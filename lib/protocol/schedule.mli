@@ -10,7 +10,13 @@
     one instance via {!of_systolic}, which is how the simulator runs
     them, and {!to_systolic} bridges back so property tests can pin
     implicit schedules against materialized protocols on small
-    instances. *)
+    instances.
+
+    A small periodic schedule can instead be {e tabled}: one period
+    stored as receiver-indexed sender tables ({!tabulate}, {!tables}),
+    which the chunked engine reads directly, with no closure call per
+    vertex, and from which {!without_arcs} knocks out failure
+    patterns. *)
 
 type t
 
@@ -21,7 +27,8 @@ type t
     receiver; full-duplex rounds may pair mutual senders.  Periodicity
     ([sender (round + period) = sender round]) is expected of plain
     schedules but intentionally {e not} of fault-wrapped ones
-    ({!with_drops} keys drops on the absolute round index).
+    ({!with_drops} keys drops on the absolute round index).  The result
+    has no {!nomination} and no {!tables}.
     @raise Invalid_argument on [n < 0] or [period < 1]. *)
 val make :
   name:string ->
@@ -38,7 +45,8 @@ val period : t -> int
 
 (** [nomination t] is [Some (pairings, candidate)] for a {!proposal}
     schedule and [None] for every other one, including a {!proposal}
-    wrapped by {!with_drops} or a {!Fault_tolerant} transform.
+    wrapped by {!with_drops}, {!tabulate}d, or passed through a
+    {!Fault_tolerant} transform.
     [candidate p v] is the vertex that [v] nominates in pairing [p]
     ([0 <= p < pairings]), or [-1]; it is pure, and a nominee is always
     in [[0, n)] and different from [v].  The partner of [v] in pairing
@@ -55,10 +63,49 @@ val nomination : t -> (int * (int -> int -> int)) option
 val sender : t -> int -> int -> int
 
 (** [of_systolic sys] views a materialized systolic protocol as a
-    schedule, precomputing one receiver-indexed sender table per period
-    round.  Sender functions agree arc-for-arc with
+    tabled schedule: one receiver-indexed sender table per period round,
+    exposed by {!tables}.  Sender functions agree arc-for-arc with
     {!Systolic.period_round}. *)
 val of_systolic : Systolic.t -> t
+
+(** {1 Tabled schedules}
+
+    The paper's s-systolic protocols repeat one period of s matchings,
+    so a periodic schedule is exactly s receiver-indexed sender tables:
+    entry [v] of table [i] is the vertex transmitting to [v] in every
+    round [r] with [r mod period = i], or [-1].  Tabling costs
+    [n · period] words and is meant for schedules small enough to store
+    (materialized protocols, the fault certifier's schemes), not for the
+    implicit million-vertex schedules. *)
+
+(** [tabulate t] stores one period of [t] as sender tables, calling
+    [sender t r v] once for every [r < period] and [v < n]; a tabled
+    [t] comes back unchanged.  [t] must be periodic
+    ([sender (r + period) = sender r]): the tables repeat round [r] of
+    the first period forever, so a {!with_drops} schedule whose drops
+    change from period to period is not the same schedule once tabled.
+    The result keeps [t]'s name, size, mode and period, has the same
+    {!sender}, and has no {!nomination}. *)
+val tabulate : t -> t
+
+(** [tables t] is [Some tables] for a tabled schedule ({!of_systolic},
+    {!tabulate}, {!without_arcs}) — [tables.(i).(v)] is the sender to
+    [v] in period round [i], or [-1], and [Array.length tables] is the
+    period — and [None] for every other one; {!make}, {!with_drops},
+    the generators and the {!Fault_tolerant} transforms carry none.  The
+    arrays are shared with [t], not copied: a read-only view, which
+    callers must not mutate. *)
+val tables : t -> int array array option
+
+(** [without_arcs t dead] is [tabulate t] with every arc [(u, v)] of
+    [dead] removed from every round of the period: the arcs of
+    [dead] are dead permanently, which is what the fault certifier's
+    patterns mean.  It equals [with_drops t] with a membership test of
+    [dead] as the drop predicate (for a periodic [t]), but stays tabled.
+    Only the rounds whose table changes are copied; the others are
+    shared with [t].  Arcs that [t] never activates, or with an
+    endpoint outside the schedule, change nothing. *)
+val without_arcs : t -> (int * int) list -> t
 
 (** [round_arcs t i] materializes round [i] as a sorted arc list —
     bridging and tests only; O(n). *)
@@ -78,8 +125,10 @@ val to_systolic : t -> Gossip_topology.Digraph.t -> Systolic.t
     Dropping one direction of a full-duplex exchange legally degrades it
     to a one-directional transmission.  [round] is absolute, so i.i.d.
     fault processes do not repeat each period.  The result has no
-    {!nomination}: drops act on arcs, which a nominee table cannot
-    express, so the chunked engine runs it through {!sender}. *)
+    {!nomination} and no {!tables}: drops act on absolute rounds, which
+    neither a nominee table nor one period of sender tables can express,
+    so the chunked engine runs it through {!sender}.  Permanently dead
+    arcs of a periodic schedule are {!without_arcs}. *)
 val with_drops : t -> drop:(round:int -> u:int -> v:int -> bool) -> t
 
 (** {1 Pairing plumbing}

@@ -130,8 +130,14 @@ let certify ?domains ?cap ?(slack = 1.5) ?(budget = 512) sched ~k ~seed =
   if k < 0 then invalid_arg "Certifier.certify: k must be >= 0";
   if budget < 1 then invalid_arg "Certifier.certify: budget must be >= 1";
   if slack < 1.0 then invalid_arg "Certifier.certify: slack must be >= 1.0";
+  (match cap with
+  | Some c when c < 1 -> invalid_arg "Certifier.certify: cap must be >= 1"
+  | _ -> ());
   let n = Schedule.n_vertices sched in
-  let arcs = period_arcs sched in
+  (* one period as sender tables: every pattern knocks its dead arcs out
+     of them and runs on Chunked's sender-table arm *)
+  let base = Schedule.tabulate sched in
+  let arcs = period_arcs base in
   let m = Array.length arcs in
   if k > m then
     invalid_arg
@@ -144,19 +150,14 @@ let certify ?domains ?cap ?(slack = 1.5) ?(budget = 512) sched ~k ~seed =
      shared counter increment would race — so the checked-pattern count
      is kept at the (sequential) call sites. *)
   let checked = ref 0 in
-  let run_pattern ?cap (pattern : int array) =
-    let sched' =
-      if Array.length pattern = 0 then sched
-      else
-        let dead = Array.map (fun i -> arcs.(i)) pattern in
-        Schedule.with_drops sched ~drop:(fun ~round:_ ~u ~v ->
-            Array.exists (fun (a, b) -> a = u && b = v) dead)
-    in
-    let st = Chunked.create n in
-    Chunked.run ~domains:1 ?cap st sched'
-  in
   let pattern_arcs p = List.map (fun i -> arcs.(i)) (Array.to_list p) in
-  let free = run_pattern [||] in
+  let run_pattern ?cap (pattern : int array) =
+    Chunked.run ~domains:1 ?cap (Chunked.create n)
+      (Schedule.without_arcs base (pattern_arcs pattern))
+  in
+  (* under the given cap: a fault-free run that misses it leaves nothing
+     to certify *)
+  let free = run_pattern ?cap [||] in
   incr checked;
   match free.Chunked.time with
   | None ->
@@ -184,9 +185,7 @@ let certify ?domains ?cap ?(slack = 1.5) ?(budget = 512) sched ~k ~seed =
   | Some t0 ->
       let cap =
         match cap with
-        | Some c ->
-            if c < 1 then invalid_arg "Certifier.certify: cap must be >= 1";
-            c
+        | Some c -> c
         | None ->
             int_of_float (ceil (slack *. float_of_int t0)) + Schedule.period sched
       in

@@ -4,10 +4,19 @@
     this module answers the adversarial question: does gossip still
     complete — within a round budget — under {e every} pattern of at
     most [k] permanently dead arcs?  Patterns are subsets of the
-    period's distinct arc set; each one is simulated by wrapping the
-    schedule with {!Gossip_protocol.Schedule.with_drops} and running
-    the chunked engine with [items = n] (exact gossip, as {!Engine}
-    runs it).
+    period's distinct arc set.  The schedule is tabled once
+    ({!Gossip_protocol.Schedule.tabulate}), and each pattern is
+    simulated by knocking its arcs out of those sender tables
+    ({!Gossip_protocol.Schedule.without_arcs}, which copies only the
+    rounds it changes) and running the chunked engine's sender-table
+    arm with [items = n] (exact gossip, as {!Engine} runs it).  This
+    relies on the schedule being periodic — [sender (r + period) =
+    sender r], as the paper's s-systolic protocols, the generators and
+    the {!Gossip_protocol.Fault_tolerant} transforms are; so do
+    {!period_arcs}, {!fingerprint} and the [Core.Context] cache key.
+    Certifying a {!Gossip_protocol.Schedule.with_drops} schedule whose
+    drops differ from period to period certifies its first period,
+    repeated.
 
     The pattern space [C(m, <=k)] is enumerated exhaustively while it
     fits the [budget]; beyond that a seeded sample of [budget] patterns
@@ -24,7 +33,11 @@
     Completion must happen within [cap] rounds.  By default [cap] is
     derived from the schedule's own fault-free completion time [t0] as
     [ceil(slack · t0) + period] — "a fault may cost at most
-    [slack - 1] extra fractions of the fault-free time".  Everything is
+    [slack - 1] extra fractions of the fault-free time" — and the
+    fault-free run itself gets the chunked engine's default budget.  A
+    given [cap] bounds the fault-free run too: when that run misses it,
+    nothing is certified and the verdict carries [fault_free_time =
+    None] and the empty pattern as its counterexample.  Everything is
     deterministic given [(schedule, k, seed, budget, cap)], which is
     exactly the cache key [Core.Context] uses for certificates. *)
 
@@ -46,7 +59,9 @@ type verdict = {
   patterns_total : int;  (** [|C(m, <=k)|] *)
   patterns_checked : int;  (** patterns actually simulated *)
   fault_free_time : int option;  (** [t0]; [None] ⇒ uncertifiable *)
-  cap : int;  (** round budget applied to every faulted run *)
+  cap : int;
+      (** round budget applied to every faulted run; 0 when none was
+          given and the fault-free run did not complete *)
   worst_time : int option;
       (** slowest completion among checked passing patterns *)
   worst_pattern : (int * int) list;  (** a pattern achieving [worst_time] *)
@@ -66,9 +81,12 @@ val fingerprint : Gossip_protocol.Schedule.t -> string
 (** [certify ?domains ?cap ?slack ?budget sched ~k ~seed] — the
     decision procedure described above.  [slack] defaults to 1.5,
     [budget] to 512 patterns, [domains] to the recommended worker
-    count; [cap] overrides the derived round budget entirely.
+    count; [cap] overrides the derived round budget entirely, for the
+    fault-free run as for every pattern.  [sched] must be periodic (see
+    the module header).
     @raise Invalid_argument on [k < 0], [k] exceeding the period's
-    distinct arc count, [budget < 1] or [slack < 1.0]. *)
+    distinct arc count, [budget < 1], [slack < 1.0] or [cap < 1], all
+    before anything runs. *)
 val certify :
   ?domains:int ->
   ?cap:int ->

@@ -112,18 +112,63 @@ let block_delta st sched round lo hi =
   done;
   !delta
 
-(* The table path, for schedules with a {!Schedule.nomination}: [st.cand]
-   holds every vertex's nominee in one pairing, so [x = cand.(v)] is v's
-   partner exactly when [cand.(x) = v].  [phase < 0] is a full-duplex
-   round: the pair exchanges and the lower endpoint owns the write, as in
-   [block_delta].  Otherwise it is a half-duplex round, as [of_pairing]
-   splits it: the lower endpoint sends when [phase = 0] and the higher
-   one when [phase = 1].  The receiver's block writes the receiver only,
-   and a sender is not written in its round, so [v |= x] is race-free.
-   The word loops repeat [block_delta]'s: they call [popcount], so the
-   compiler will not inline them as a shared helper, and a call per
-   merge would slow the sender path, whose thousands of tiny runs in
-   the fault certifier pay per-round overhead in full. *)
+(* The sender-table arm, for tabled schedules ({!Schedule.tables}): [snd]
+   is the round's receiver-indexed sender table, and the merge is
+   [block_delta]'s rule read from it — [x = snd.(v)], an exchange exactly
+   when [snd.(x) = v], owned by the lower endpoint, under the same
+   [0 <= x < n] guard — so results are identical to the sender path's,
+   with no closure call per vertex.  The word loops repeat
+   [block_delta]'s: they call [popcount], so the compiler will not
+   inline them as a shared helper, and a call per merge would slow this
+   arm, whose thousands of tiny runs in the fault certifier pay
+   per-round overhead in full. *)
+let tabled_block_delta st snd lo hi =
+  let words = st.words and state = st.state and n = st.n in
+  let delta = ref 0 in
+  for v = lo to hi - 1 do
+    let x = snd.(v) in
+    if x >= 0 && x < n && x <> v then
+      if snd.(x) = v then begin
+        if v < x then begin
+          let dv = v * words and dx = x * words in
+          for w = 0 to words - 1 do
+            let a = state.(dv + w) and b = state.(dx + w) in
+            let u = a lor b in
+            if u <> a then begin
+              delta := !delta + popcount (u land lnot a);
+              state.(dv + w) <- u
+            end;
+            if u <> b then begin
+              delta := !delta + popcount (u land lnot b);
+              state.(dx + w) <- u
+            end
+          done
+        end
+      end
+      else begin
+        let dv = v * words and dx = x * words in
+        for w = 0 to words - 1 do
+          let a = state.(dv + w) in
+          let u = a lor state.(dx + w) in
+          if u <> a then begin
+            delta := !delta + popcount (u land lnot a);
+            state.(dv + w) <- u
+          end
+        done
+      end
+  done;
+  !delta
+
+(* The candidate-table arm, for schedules with a {!Schedule.nomination}:
+   [st.cand] holds every vertex's nominee in one pairing, so
+   [x = cand.(v)] is v's partner exactly when [cand.(x) = v].
+   [phase < 0] is a full-duplex round: the pair exchanges and the lower
+   endpoint owns the write, as in [block_delta].  Otherwise it is a
+   half-duplex round, as [of_pairing] splits it: the lower endpoint
+   sends when [phase = 0] and the higher one when [phase = 1].  The
+   receiver's block writes the receiver only, and a sender is not
+   written in its round, so [v |= x] is race-free.  The word loops
+   repeat [block_delta]'s, as in [tabled_block_delta]. *)
 let nominated_block_delta st phase lo hi =
   let words = st.words and state = st.state and cand = st.cand in
   let delta = ref 0 in
@@ -205,12 +250,22 @@ let apply_round ?domains st sched round =
   (* a few blocks per worker keeps the strided distribution balanced
      when block costs differ *)
   let nblocks = max 1 (min st.n (workers * 4)) in
+  (* three arms: a tabled schedule merges from its period's sender
+     tables, a proposal schedule from its candidate table, and every
+     other schedule calls [Schedule.sender] per vertex *)
   let delta =
-    match Schedule.nomination sched with
-    | Some nomination ->
+    match (Schedule.tables sched, Schedule.nomination sched) with
+    | Some tables, _ ->
+        let snd = tables.(round mod Array.length tables) in
+        Parallel.reduce ?domains nblocks
+          (fun b ->
+            tabled_block_delta st snd (b * st.n / nblocks)
+              ((b + 1) * st.n / nblocks))
+          ( + ) 0
+    | None, Some nomination ->
         nominated_round ?domains st nblocks (Schedule.mode sched) nomination
           round
-    | None ->
+    | None, None ->
         Parallel.reduce ?domains nblocks
           (fun b ->
             let lo = b * st.n / nblocks and hi = (b + 1) * st.n / nblocks in

@@ -6,8 +6,8 @@
     dissemination of the first [items <= n] items only, in one
     contiguous word array processed blockwise in parallel: memory stays
     proportional to simulation state ([n·items] bits), and rounds come
-    from a {!Gossip_protocol.Schedule} sender function, so nothing
-    per-round is ever materialized either.
+    from a {!Gossip_protocol.Schedule}, so nothing per-round is ever
+    materialized either.
 
     With [items = n] a run is exact gossip under the whispering rule of
     Section 3 (the tests pin it bit for bit against a literal
@@ -21,29 +21,37 @@
     start-of-round-snapshot semantics and deterministic for every
     worker count.
 
-    {b Two paths.}  A schedule with a
-    {!Gossip_protocol.Schedule.nomination} (a
+    {b Three arms.}  A tabled schedule (one with
+    {!Gossip_protocol.Schedule.tables}:
+    {!Gossip_protocol.Schedule.of_systolic},
+    {!Gossip_protocol.Schedule.tabulate},
+    {!Gossip_protocol.Schedule.without_arcs}) merges from its period's
+    receiver-indexed sender table for the round, with no closure call
+    per vertex; this is how {!Engine}, {!Stats} and {!Certifier} run.
+    A schedule with a {!Gossip_protocol.Schedule.nomination} (a
     {!Gossip_protocol.Schedule.proposal}) runs on a candidate table: the
     state keeps one n-word buffer of every vertex's nominee, refilled
     with one [candidate] call per vertex only when the pairing changes
     (every round in full duplex, every second round in half duplex), and
     each round merges from it.  Every other schedule — structured
-    colorings, {!Gossip_protocol.Schedule.of_systolic}, fault-wrapped
-    and {!Gossip_protocol.Fault_tolerant} schedules — runs on the sender
-    path, which calls [Schedule.sender] for every vertex and for every
-    receiver's sender.  The schedule selects the path; both give the
-    same rounds, coverage and state bits.  Memory is [n·⌈items/63⌉]
-    words of state on the sender path and [n·(⌈items/63⌉ + 1)] words
-    once a proposal schedule has run on the state.
+    colorings, fault-wrapped and {!Gossip_protocol.Fault_tolerant}
+    schedules — runs on the sender path, which calls [Schedule.sender]
+    for every vertex and for every receiver's sender.  The schedule
+    selects the arm; all three give the same rounds, coverage and state
+    bits.  Memory is [n·⌈items/63⌉] words of state, plus [n] words once
+    a proposal schedule has run on the state; a tabled schedule brings
+    its own [n·period] words of tables.
 
-    The table path is race-free for the same reason as the sender path:
-    the fill writes each block's own entries and completes before any
-    merge reads the table; a merge writes a receiver from its own
-    block, or both ends of an exchange from the lower endpoint's block,
-    and mutual nomination pairs each vertex with at most one partner.
-    Both passes are pure functions of the state before the round and the
-    round's pairing, and the newly-set bit counts are summed exactly, so
-    the result does not depend on the domain count. *)
+    The sender-table arm applies the sender path's rule to the table's
+    entries, so it is race-free for the same reason.  The candidate
+    arm is too: the fill writes each block's own entries and completes
+    before any merge reads the table; a merge writes a receiver from
+    its own block, or both ends of an exchange from the lower
+    endpoint's block, and mutual nomination pairs each vertex with at
+    most one partner.  Every pass is a pure function of the state
+    before the round and the round's matching, and the newly-set bit
+    counts are summed exactly, so the result does not depend on the
+    domain count. *)
 
 type state
 
@@ -73,12 +81,13 @@ val complete : state -> bool
 
 (** [apply_round ?domains st sched round] executes (absolute) round
     [round] of [sched] on [st], blockwise over the worker domains
-    (default {!Gossip_util.Parallel.recommended_domains}).  A proposal
+    (default {!Gossip_util.Parallel.recommended_domains}).  A tabled
+    schedule merges from [tables.(round mod period)]; a proposal
     schedule runs on the candidate table, which is refilled when
-    [(sched, pairing of round)] differs from what it holds, so rounds
+    [(sched, pairing of round)] differs from what it holds; every other
+    schedule runs on the sender path (see the module header).  Rounds
     may come in any order and schedules may be interleaved on one
-    state; every other schedule runs on the sender path (see the
-    module header).
+    state.
     @raise Invalid_argument when [sched] and [st] disagree on the
     vertex count, or on [round < 0]. *)
 val apply_round : ?domains:int -> state -> Gossip_protocol.Schedule.t -> int -> unit

@@ -2,6 +2,7 @@
 
     The systolic front end over {!Chunked}: every function here views
     its protocol as a {!Gossip_protocol.Schedule.of_systolic} schedule
+    (tabled, so rounds run on the chunked engine's sender-table arm)
     and runs it on a chunked state tracking all [n] items, one round at
     a time on the calling domain.  The semantics are the whispering
     model of Section 3: at the start every processor knows exactly its

@@ -200,6 +200,140 @@ let test_fingerprint_separates_schedules () =
   check "fingerprint is stable" true
     (Certifier.fingerprint t = Certifier.fingerprint (base12 ()))
 
+(* Every verdict field, recorded before patterns ran on sender tables:
+   exhaustive passes, the shrink of the failing C32 and a sampled run.
+   A pattern that lost an arc in one round of the period only, or
+   patterns that shared tables, change them. *)
+let test_certify_verdict_goldens () =
+  let cyc n = Schedule.cycle_alternating ~n ~full_duplex:false in
+  let aug n = fst (Fault_tolerant.augment (cyc n) ~k:2) in
+  let certified ~mode ~k ~budget ~arcs ~total ~checked ~t0 ~cap ~worst
+      worst_pattern =
+    {
+      Certifier.certified = true;
+      cert_mode = mode;
+      k;
+      seed = 7;
+      budget;
+      arcs;
+      patterns_total = total;
+      patterns_checked = checked;
+      fault_free_time = Some t0;
+      cap;
+      worst_time = Some worst;
+      worst_pattern;
+      counterexample = None;
+    }
+  in
+  let exhaustive = certified ~mode:Certifier.Exhaustive ~budget:16384 in
+  List.iter
+    (fun (label, sched, expected) ->
+      let v =
+        Certifier.certify ~domains:1 ~budget:expected.Certifier.budget sched
+          ~k:expected.Certifier.k ~seed:7
+      in
+      let show v = Json.to_string (Certifier.to_json sched v) in
+      Alcotest.(check string) label (show expected) (show v);
+      check (label ^ ": every field") true (v = expected))
+    [
+      ( "augmented C12 k=2",
+        aug 12,
+        exhaustive ~k:2 ~arcs:72 ~total:2629 ~checked:2629 ~t0:11 ~cap:31
+          ~worst:18 [ (0, 1); (0, 11) ] );
+      ( "augmented C16 k=2",
+        aug 16,
+        exhaustive ~k:2 ~arcs:96 ~total:4657 ~checked:4657 ~t0:12 ~cap:30
+          ~worst:16 [ (0, 1); (0, 15) ] );
+      ( "Q16 k=2",
+        Schedule.hypercube_sweep ~dim:4 ~full_duplex:false,
+        exhaustive ~k:2 ~arcs:64 ~total:2081 ~checked:2081 ~t0:8 ~cap:20
+          ~worst:14 [ (0, 1); (0, 2) ] );
+      ( "torus 4x4 k=1",
+        Schedule.torus_colored ~rows:4 ~cols:4 ~full_duplex:false,
+        exhaustive ~k:1 ~arcs:64 ~total:65 ~checked:65 ~t0:8 ~cap:20 ~worst:12
+          [ (0, 1) ] );
+      ( "CCC(3) k=1",
+        Schedule.ccc_colored ~dim:3 ~full_duplex:false,
+        exhaustive ~k:1 ~arcs:72 ~total:73 ~checked:73 ~t0:24 ~cap:44
+          ~worst:27 [ (2, 14) ] );
+      ( "C32 k=1",
+        cyc 32,
+        {
+          Certifier.certified = false;
+          cert_mode = Certifier.Exhaustive;
+          k = 1;
+          seed = 7;
+          budget = 16384;
+          arcs = 64;
+          patterns_total = 65;
+          patterns_checked = 9;
+          fault_free_time = Some 32;
+          cap = 52;
+          worst_time = None;
+          worst_pattern = [];
+          counterexample =
+            Some
+              {
+                Certifier.cx_pattern = [ (0, 1) ];
+                cx_rounds_run = 52;
+                cx_coverage = 0x1.f7p-1;
+              };
+        } );
+      ( "augmented C32 k=2 (sampled)",
+        aug 32,
+        certified ~mode:Certifier.Sampled ~k:2 ~budget:512 ~arcs:192
+          ~total:18529 ~checked:513 ~t0:20 ~cap:42 ~worst:23
+          [ (12, 8); (23, 24) ] );
+    ]
+
+(* A given cap bounds the fault-free run too: a scheme that cannot
+   gossip within it is uncertified before any pattern runs, whatever k. *)
+let test_certify_cap_bounds_fault_free_run () =
+  let q16 = Schedule.hypercube_sweep ~dim:4 ~full_duplex:false in
+  List.iter
+    (fun k ->
+      let v = Certifier.certify ~domains:1 ~cap:5 q16 ~k ~seed:1 in
+      let name = Printf.sprintf "Q16 (fault-free time 8), k=%d, cap 5: " k in
+      check (name ^ "not certified") false v.Certifier.certified;
+      check (name ^ "no fault-free time") true
+        (v.Certifier.fault_free_time = None);
+      check_int (name ^ "cap kept") 5 v.Certifier.cap;
+      check_int (name ^ "only the fault-free run") 1
+        v.Certifier.patterns_checked;
+      match v.Certifier.counterexample with
+      | Some cx ->
+          check (name ^ "empty counterexample") true
+            (cx.Certifier.cx_pattern = []);
+          check_int (name ^ "ran to the cap") 5 cx.Certifier.cx_rounds_run
+      | None -> Alcotest.fail (name ^ "expected a counterexample"))
+    [ 0; 1 ];
+  (* a cap the fault-free run meets still certifies *)
+  let v = Certifier.certify ~domains:1 ~cap:8 q16 ~k:0 ~seed:1 in
+  check "cap 8 meets the fault-free time" true
+    (v.Certifier.certified && v.Certifier.fault_free_time = Some 8)
+
+let test_certify_rejects_cap_below_one () =
+  (* validated before anything runs, so a schedule that never completes
+     raises too instead of returning a verdict that carries the cap *)
+  let idle =
+    Schedule.make ~name:"idle" ~n:4 ~mode:Protocol.Half_duplex ~period:1
+      ~sender:(fun _ _ -> -1)
+  in
+  List.iter
+    (fun (name, sched) ->
+      List.iter
+        (fun cap ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s, cap %d" name cap)
+            (Invalid_argument "Certifier.certify: cap must be >= 1")
+            (fun () ->
+              ignore (Certifier.certify ~domains:1 ~cap sched ~k:0 ~seed:1)))
+        [ 0; -3 ])
+    [
+      ("never completes", idle);
+      ("Q16", Schedule.hypercube_sweep ~dim:4 ~full_duplex:false);
+    ]
+
 let suite =
   [
     ("replicate report", `Quick, test_replicate_report);
@@ -212,4 +346,7 @@ let suite =
     ("sampled mode deterministic", `Quick, test_certify_sampled_mode_deterministic);
     ("validation and json", `Quick, test_certify_validation_and_json);
     ("fingerprints separate schedules", `Quick, test_fingerprint_separates_schedules);
+    ("certifier verdict goldens", `Quick, test_certify_verdict_goldens);
+    ("cap bounds the fault-free run", `Quick, test_certify_cap_bounds_fault_free_run);
+    ("cap below 1 rejected up front", `Quick, test_certify_rejects_cap_below_one);
   ]

@@ -470,6 +470,126 @@ let test_apply_round_validates () =
       ("Q5 sweep", Schedule.hypercube_sweep ~dim:5 ~full_duplex:false);
     ]
 
+(* --- tabled schedules: the sender-table arm and without_arcs --- *)
+
+(* Random periodic schedules of every kind the certifier and the engine
+   tabulate: the structured colorings, augmented cycles, and materialized
+   random protocols in all three modes, paired with a description. *)
+let gen_periodic_schedule =
+  QCheck.Gen.(
+    let* full_duplex = bool in
+    let fd = if full_duplex then " fd" else " hd" in
+    let random_protocol =
+      let* g, mode =
+        oneofl
+          [
+            (Families.de_bruijn_directed 2 3, Protocol.Directed);
+            (Families.kautz_directed 2 3, Protocol.Directed);
+            (Families.de_bruijn 2 3, Protocol.Half_duplex);
+            (Families.grid 3 3, Protocol.Half_duplex);
+            (Families.de_bruijn 2 3, Protocol.Full_duplex);
+            (Families.kautz 2 3, Protocol.Full_duplex);
+          ]
+      in
+      let* period = int_range 1 6 in
+      let* seed = int_range 0 10_000 in
+      let* tenths = int_range 3 10 in
+      let sys =
+        Builders.random_systolic g mode ~period ~seed
+          ~density:(float_of_int tenths /. 10.0)
+      in
+      return
+        ( Printf.sprintf "random %s %s period=%d seed=%d density=%d/10"
+            (Digraph.name g) (Protocol.mode_to_string mode) period seed tenths,
+          Schedule.of_systolic sys )
+    in
+    let named sched = return (Schedule.name sched ^ fd, sched) in
+    oneof
+      [
+        (let* n = int_range 3 40 in
+         named (Schedule.cycle_alternating ~n ~full_duplex));
+        (let* rows = int_range 3 6 in
+         let* cols = int_range 3 6 in
+         named (Schedule.torus_colored ~rows ~cols ~full_duplex));
+        (let* dim = int_range 3 4 in
+         named (Schedule.ccc_colored ~dim ~full_duplex));
+        (let* dim = int_range 1 6 in
+         named (Schedule.hypercube_sweep ~dim ~full_duplex));
+        (let* n = int_range 5 40 in
+         let* k = int_range 0 3 in
+         named
+           (fst
+              (Fault_tolerant.augment
+                 (Schedule.cycle_alternating ~n ~full_duplex)
+                 ~k)));
+        random_protocol;
+      ])
+
+let gen_run_config =
+  QCheck.Gen.(pair (oneofl [ None; Some 64; Some 1 ]) (oneofl [ 1; 2; 4 ]))
+
+let print_run_config (items, domains) =
+  Printf.sprintf "items=%s domains=%d"
+    (match items with None -> "n" | Some k -> string_of_int k)
+    domains
+
+(* time, rounds, coverage and every knowledge bit of two runs *)
+let same_runs ((st : Chunked.state), (o : Chunked.outcome)) (st', o') =
+  o.Chunked.time = o'.Chunked.time
+  && o.Chunked.rounds_run = o'.Chunked.rounds_run
+  && o.Chunked.final_coverage = o'.Chunked.final_coverage
+  && same_knowledge st st'
+
+let prop_tabled_path_matches_sender_path =
+  QCheck.Test.make ~name:"tabled arm = sender path"
+    ~count:150
+    (QCheck.make
+       ~print:(fun ((name, _), config) ->
+         name ^ " " ^ print_run_config config)
+       QCheck.Gen.(pair gen_periodic_schedule gen_run_config))
+    (fun ((_, sched), (items, domains)) ->
+      let tabled = Schedule.tabulate sched in
+      (* were the sender path tabled too, the arm would meet itself *)
+      Schedule.tables tabled <> None
+      && Schedule.tables (sender_path sched) = None
+      && same_runs
+           (chunked_run ?items ~domains tabled)
+           (chunked_run ?items (sender_path sched)))
+
+let prop_without_arcs_matches_with_drops =
+  QCheck.Test.make ~name:"without_arcs = with_drops"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (((name, _), config), picks) ->
+         Printf.sprintf "%s %s picks=[%s]" name (print_run_config config)
+           (String.concat "; " (List.map string_of_int picks)))
+       QCheck.Gen.(
+         pair
+           (pair gen_periodic_schedule gen_run_config)
+           (list_size (int_range 0 3) (int_range 0 10_000))))
+    (fun (((_, sched), (items, domains)), picks) ->
+      let base = Schedule.tabulate sched in
+      let arcs = Certifier.period_arcs base in
+      let m = Array.length arcs in
+      let dead =
+        if m = 0 then [] else List.map (fun i -> arcs.(i mod m)) picks
+      in
+      let s = Schedule.period base in
+      let rounds sched = List.init (2 * s) (Schedule.round_arcs sched) in
+      let before = rounds base in
+      let knocked = Schedule.without_arcs base dead in
+      let dropped =
+        Schedule.with_drops sched ~drop:(fun ~round:_ ~u ~v ->
+            List.mem (u, v) dead)
+      in
+      Schedule.tables knocked <> None
+      && rounds knocked = rounds dropped
+      (* the pattern's tables are its own: the base is left as it was *)
+      && rounds base = before
+      && same_runs
+           (chunked_run ?items ~domains knocked)
+           (chunked_run ?items dropped))
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -495,4 +615,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_nominated_path_matches_sender_path;
     ("table path buffer key", `Quick, test_nominated_buffer_key);
     ("apply_round validates its input", `Quick, test_apply_round_validates);
+    QCheck_alcotest.to_alcotest prop_tabled_path_matches_sender_path;
+    QCheck_alcotest.to_alcotest prop_without_arcs_matches_with_drops;
   ]

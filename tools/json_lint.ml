@@ -10,7 +10,9 @@
                    "certificate" field) a gossip-fault-cert/1 artifact;
                    schema fields are checked for presence and type, and
                    the verdict for consistency (certified <=> no
-                   counterexample, exhaustive <=> confidence 1)
+                   counterexample, exhaustive <=> confidence 1, a
+                   certified verdict has fault_free_time <= worst_time
+                   <= cap, and cap >= 1 once a fault-free time exists)
 
    Exit status 0 when valid; 1 with a diagnostic on stderr otherwise.
    Used by CI to validate `gossip_lab ... --json` output, bench reports
@@ -157,9 +159,9 @@ let lint_fault_cert src =
   ignore (want_int "period");
   ignore (want_int "seed");
   ignore (want_int "budget");
-  ignore (want_int "cap");
-  ignore (want_int_or_null "fault_free_time");
-  ignore (want_int_or_null "worst_time");
+  let cap = want_int "cap" in
+  let fault_free_time = want_int_or_null "fault_free_time" in
+  let worst_time = want_int_or_null "worst_time" in
   ignore (want_arc_list "worst_pattern");
   if n < 0 then fail "n must be >= 0";
   if k < 0 then fail "k must be >= 0";
@@ -180,6 +182,19 @@ let lint_fault_cert src =
     | Json.Bool b -> b
     | _ -> fail "field \"certified\" must be a boolean"
   in
+  (* every faulted run, the fault-free one included, ran under [cap] *)
+  if fault_free_time <> None && cap < 1 then
+    fail "cap = %d with a fault-free time: the cap must be >= 1" cap;
+  (if certified then
+     match (fault_free_time, worst_time) with
+     | Some t0, Some w ->
+         if not (t0 <= w && w <= cap) then
+           fail
+             "certified verdict needs fault_free_time <= worst_time <= cap \
+              (got %d, %d, %d)"
+             t0 w cap
+     | _ ->
+         fail "certified verdict needs a fault_free_time and a worst_time");
   (match get "counterexample" with
   | Json.Null ->
       if not certified then
