@@ -39,9 +39,9 @@ let concat a b =
   Schedule.make
     ~name:(Schedule.name a ^ "+" ^ Schedule.name b)
     ~n ~mode:(Schedule.mode a) ~period:s
-    ~sender:(fun r v ->
+    ~sender:(fun r ->
       let i = r mod s in
-      if i < sa then Schedule.sender a i v else Schedule.sender b (i - sa) v)
+      if i < sa then Schedule.sender a i else Schedule.sender b (i - sa))
 
 let replicate t ~k =
   if k < 0 then invalid_arg "Fault_tolerant.replicate: k must be >= 0";
@@ -51,7 +51,7 @@ let replicate t ~k =
     Schedule.make
       ~name:(Printf.sprintf "%s rep%d" (Schedule.name t) (k + 1))
       ~n:(Schedule.n_vertices t) ~mode:(Schedule.mode t) ~period:s'
-      ~sender:(fun r v -> Schedule.sender t (r mod s' / (k + 1)) v)
+      ~sender:(fun r -> Schedule.sender t (r mod s' / (k + 1)))
   in
   (hardened, report ~transform:"replicate" ~k ~base:t hardened)
 

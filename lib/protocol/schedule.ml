@@ -7,6 +7,8 @@ type t = {
   mode : Protocol.mode;
   period : int;
   sender : int -> int -> int;
+      (* [sender round] does the round's work once and returns the
+         receiver -> sender function *)
   nomination : (int * (int -> int -> int)) option;
       (* (pairings, candidate): set by [proposal] only *)
   tables : int array array option;
@@ -26,9 +28,9 @@ let period t = t.period
 let nomination t = t.nomination
 let tables t = t.tables
 
-let sender t round v =
+let sender t round =
   if round < 0 then invalid_arg "Schedule.sender: negative round";
-  t.sender round v
+  t.sender round
 
 (* --- tabled schedules: one period of receiver-indexed sender tables -- *)
 
@@ -39,7 +41,10 @@ let of_tables ~name ~n ~mode tables =
     n;
     mode;
     period = s;
-    sender = (fun r v -> tables.(r mod s).(v));
+    sender =
+      (fun r ->
+        let snd = tables.(r mod s) in
+        fun v -> snd.(v));
     nomination = None;
     tables = Some tables;
   }
@@ -50,9 +55,10 @@ let tabulate t =
   | None ->
       of_tables ~name:t.name ~n:t.n ~mode:t.mode
         (Array.init t.period (fun r ->
+             let sender = t.sender r in
              let snd = Array.make (max 1 t.n) (-1) in
              for v = 0 to t.n - 1 do
-               snd.(v) <- t.sender r v
+               snd.(v) <- sender v
              done;
              snd))
 
@@ -92,9 +98,10 @@ let of_systolic sys =
 (* --- bridging back to the materialized world (small n only) ---------- *)
 
 let round_arcs t i =
+  let sender = t.sender i in
   let arcs = ref [] in
   for v = t.n - 1 downto 0 do
-    let x = t.sender i v in
+    let x = sender v in
     if x >= 0 then arcs := (x, v) :: !arcs
   done;
   !arcs
@@ -113,9 +120,11 @@ let with_drops t ~drop =
     nomination = None;
     tables = None;
     sender =
-      (fun r v ->
-        let x = t.sender r v in
-        if x < 0 || drop ~round:r ~u:x ~v then -1 else x);
+      (fun r ->
+        let sender = t.sender r in
+        fun v ->
+          let x = sender v in
+          if x < 0 || drop ~round:r ~u:x ~v then -1 else x);
   }
 
 (* --- structured periodic matchings ----------------------------------- *)
@@ -123,21 +132,26 @@ let with_drops t ~drop =
 (* Direction-split wrapper: an exchange pairing becomes a half-duplex
    schedule of twice the period — lower endpoint sends on even rounds,
    higher on odd.  [pairing t v] is the partner of [v] in pairing [t]
-   (or -1), and must be an involution: pairing t (pairing t v) = v. *)
+   (or -1), and must be an involution: pairing t (pairing t v) = v.
+   The round's pairing index and phase are settled once, when the round
+   is staged; [pairing t] is applied once per round too, so a pairing
+   written [fun t -> ... fun v -> ...] stages its own per-round work. *)
 let of_pairing ~name ~n ~pairings ~full_duplex pairing =
   if full_duplex then
     make ~name ~n ~mode:Protocol.Full_duplex ~period:pairings
-      ~sender:(fun r v -> pairing (r mod pairings) v)
+      ~sender:(fun r -> pairing (r mod pairings))
   else
     make ~name ~n ~mode:Protocol.Half_duplex
       ~period:(2 * pairings)
-      ~sender:(fun r v ->
+      ~sender:(fun r ->
         let r = r mod (2 * pairings) in
-        let p = pairing (r / 2) v in
-        if p < 0 then -1
-        else if r mod 2 = 0 then if p < v then p else -1
-        else if p > v then p
-        else -1)
+        let partner = pairing (r / 2) in
+        if r mod 2 = 0 then fun v ->
+          let p = partner v in
+          if p >= 0 && p < v then p else -1
+        else fun v ->
+          let p = partner v in
+          if p > v then p else -1)
 
 (* Proper coloring of the cycle on [len] vertices: edge j joins j and
    j+1 mod len; colors alternate, with the closing edge taking a third
@@ -157,7 +171,9 @@ let hypercube_sweep ~dim ~full_duplex =
   of_pairing
     ~name:(Printf.sprintf "Q(%d) sweep" dim)
     ~n:(1 lsl dim) ~pairings:dim ~full_duplex
-    (fun t v -> v lxor (1 lsl t))
+    (fun t ->
+      let m = 1 lsl t in
+      fun v -> v lxor m)
 
 let cycle_alternating ~n ~full_duplex =
   if n < 3 then invalid_arg "Schedule.cycle_alternating: n must be >= 3";

@@ -24,7 +24,11 @@ type t
     Requirements on [sender round v] for [0 <= v < n], [round >= 0]:
     pure, total, and every round must be a matching — distinct receivers
     have distinct senders, and (half-duplex) no sender is also a
-    receiver; full-duplex rounds may pair mutual senders.  Periodicity
+    receiver; full-duplex rounds may pair mutual senders.  [sender] is
+    staged: {!sender} applies it to the round alone and applies the
+    result per vertex, so a sender written
+    [fun round -> (per-round work); fun v -> ...] does its per-round work
+    once per round.  Periodicity
     ([sender (round + period) = sender round]) is expected of plain
     schedules but intentionally {e not} of fault-wrapped ones
     ({!with_drops} keys drops on the absolute round index).  The result
@@ -57,8 +61,15 @@ val period : t -> int
     [candidate] alone. *)
 val nomination : t -> (int * (int -> int -> int)) option
 
-(** [sender t round v] is the vertex transmitting to [v] in (absolute)
-    [round], or [-1] when [v] only listens.
+(** [sender t round] is the receiver -> sender function of (absolute)
+    [round]: [sender t round v] is the vertex transmitting to [v], or
+    [-1] when [v] only listens.  The round is staged when [sender t round]
+    is applied — its index within the period, pairing, phase and table
+    lookup, and a wrapped schedule's own staging — so stage it once per
+    round and apply the result to every vertex, as the chunked engine
+    does once per vertex block.  A full application [sender t round v]
+    re-stages the round on every call.  Senders must be pure, staged or
+    not: worker domains share one staged function.
     @raise Invalid_argument on [round < 0]. *)
 val sender : t -> int -> int -> int
 
@@ -78,9 +89,9 @@ val of_systolic : Systolic.t -> t
     (materialized protocols, the fault certifier's schemes), not for the
     implicit million-vertex schedules. *)
 
-(** [tabulate t] stores one period of [t] as sender tables, calling
-    [sender t r v] once for every [r < period] and [v < n]; a tabled
-    [t] comes back unchanged.  [t] must be periodic
+(** [tabulate t] stores one period of [t] as sender tables, staging
+    every round [r < period] once and applying it to every [v < n]; a
+    tabled [t] comes back unchanged.  [t] must be periodic
     ([sender (r + period) = sender r]): the tables repeat round [r] of
     the first period forever, so a {!with_drops} schedule whose drops
     change from period to period is not the same schedule once tabled.
@@ -141,7 +152,11 @@ val with_drops : t -> drop:(round:int -> u:int -> v:int -> bool) -> t
     partner of [v] in pairing [t] (or [-1]) and must be an involution:
     [pairing t (pairing t v) = v].  With [~full_duplex:true] the period
     is [pairings]; otherwise every pairing is split into a
-    lower-endpoint-sends-first round pair and the period doubles. *)
+    lower-endpoint-sends-first round pair and the period doubles.  The
+    round's pairing index and phase are computed when the round is
+    staged (see {!sender}), and [pairing t] is applied once per round,
+    so a pairing written [fun t -> (per-pairing work); fun v -> ...]
+    stages its own work too. *)
 val of_pairing :
   name:string ->
   n:int ->

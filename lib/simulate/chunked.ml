@@ -1,4 +1,5 @@
 module Parallel = Gossip_util.Parallel
+module Bitset = Gossip_util.Bitset
 module Instrument = Gossip_util.Instrument
 module Json = Gossip_util.Json
 module Protocol = Gossip_protocol.Protocol
@@ -61,38 +62,38 @@ let coverage st =
 
 let complete st = st.known = st.n * st.items
 
-let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
-
-(* One vertex block of one round, in place.  A round is a matching, so a
-   sender is never also a receiver except through a full-duplex exchange:
+(* One vertex block of one round, in place.  [sender] is the round's
+   receiver -> sender function, staged once per block by [Schedule.sender]
+   so the round's own work (its index within the period, pairing, phase,
+   table) is not redone per vertex.  A round is a matching, so a sender
+   is never also a receiver except through a full-duplex exchange:
    - exchange (sender v = x and sender x = v): owned by the lower
      endpoint, which writes the shared union to both sides — identical to
      the start-of-round snapshot semantics, since both ends get
      old(v) | old(x);
    - one-directional arc x -> v: x is not written this round, so
      v |= x in place is race-free.
-   Returns the number of newly-set bits; the cross-block sum is an exact
-   integer, so results are identical for any worker count. *)
-let block_delta st sched round lo hi =
+   Returns the number of newly-set bits, counted by the one constant-time
+   [Bitset.popcount] that all three arms share; the cross-block sum is an
+   exact integer, so results are identical for any worker count. *)
+let block_delta st sender lo hi =
   let words = st.words and state = st.state in
   let delta = ref 0 in
   for v = lo to hi - 1 do
-    let x = Schedule.sender sched round v in
+    let x = sender v in
     if x >= 0 && x < st.n && x <> v then
-      if Schedule.sender sched round x = v then begin
+      if sender x = v then begin
         if v < x then begin
           let dv = v * words and dx = x * words in
           for w = 0 to words - 1 do
             let a = state.(dv + w) and b = state.(dx + w) in
             let u = a lor b in
             if u <> a then begin
-              delta := !delta + popcount (u land lnot a);
+              delta := !delta + Bitset.popcount (u land lnot a);
               state.(dv + w) <- u
             end;
             if u <> b then begin
-              delta := !delta + popcount (u land lnot b);
+              delta := !delta + Bitset.popcount (u land lnot b);
               state.(dx + w) <- u
             end
           done
@@ -104,7 +105,7 @@ let block_delta st sched round lo hi =
           let a = state.(dv + w) in
           let u = a lor state.(dx + w) in
           if u <> a then begin
-            delta := !delta + popcount (u land lnot a);
+            delta := !delta + Bitset.popcount (u land lnot a);
             state.(dv + w) <- u
           end
         done
@@ -118,10 +119,9 @@ let block_delta st sched round lo hi =
    when [snd.(x) = v], owned by the lower endpoint, under the same
    [0 <= x < n] guard — so results are identical to the sender path's,
    with no closure call per vertex.  The word loops repeat
-   [block_delta]'s: they call [popcount], so the compiler will not
-   inline them as a shared helper, and a call per merge would slow this
-   arm, whose thousands of tiny runs in the fault certifier pay
-   per-round overhead in full. *)
+   [block_delta]'s rather than share a helper: a call per merge would
+   slow this arm, whose thousands of tiny runs in the fault certifier
+   pay per-round overhead in full. *)
 let tabled_block_delta st snd lo hi =
   let words = st.words and state = st.state and n = st.n in
   let delta = ref 0 in
@@ -135,11 +135,11 @@ let tabled_block_delta st snd lo hi =
             let a = state.(dv + w) and b = state.(dx + w) in
             let u = a lor b in
             if u <> a then begin
-              delta := !delta + popcount (u land lnot a);
+              delta := !delta + Bitset.popcount (u land lnot a);
               state.(dv + w) <- u
             end;
             if u <> b then begin
-              delta := !delta + popcount (u land lnot b);
+              delta := !delta + Bitset.popcount (u land lnot b);
               state.(dx + w) <- u
             end
           done
@@ -151,7 +151,7 @@ let tabled_block_delta st snd lo hi =
           let a = state.(dv + w) in
           let u = a lor state.(dx + w) in
           if u <> a then begin
-            delta := !delta + popcount (u land lnot a);
+            delta := !delta + Bitset.popcount (u land lnot a);
             state.(dv + w) <- u
           end
         done
@@ -182,11 +182,11 @@ let nominated_block_delta st phase lo hi =
             let a = state.(dv + w) and b = state.(dx + w) in
             let u = a lor b in
             if u <> a then begin
-              delta := !delta + popcount (u land lnot a);
+              delta := !delta + Bitset.popcount (u land lnot a);
               state.(dv + w) <- u
             end;
             if u <> b then begin
-              delta := !delta + popcount (u land lnot b);
+              delta := !delta + Bitset.popcount (u land lnot b);
               state.(dx + w) <- u
             end
           done
@@ -198,7 +198,7 @@ let nominated_block_delta st phase lo hi =
           let a = state.(dv + w) in
           let u = a lor state.(dx + w) in
           if u <> a then begin
-            delta := !delta + popcount (u land lnot a);
+            delta := !delta + Bitset.popcount (u land lnot a);
             state.(dv + w) <- u
           end
         done
@@ -252,7 +252,8 @@ let apply_round ?domains st sched round =
   let nblocks = max 1 (min st.n (workers * 4)) in
   (* three arms: a tabled schedule merges from its period's sender
      tables, a proposal schedule from its candidate table, and every
-     other schedule calls [Schedule.sender] per vertex *)
+     other schedule stages [Schedule.sender sched round] once per block
+     and applies it per vertex *)
   let delta =
     match (Schedule.tables sched, Schedule.nomination sched) with
     | Some tables, _ ->
@@ -269,7 +270,7 @@ let apply_round ?domains st sched round =
         Parallel.reduce ?domains nblocks
           (fun b ->
             let lo = b * st.n / nblocks and hi = (b + 1) * st.n / nblocks in
-            block_delta st sched round lo hi)
+            block_delta st (Schedule.sender sched round) lo hi)
           ( + ) 0
   in
   st.known <- st.known + delta
@@ -361,6 +362,11 @@ let run ?domains ?cap ?(checkpoint_every = 0) ?on_checkpoint st sched =
     match on_checkpoint with Some f -> f cp | None -> ()
   in
   Instrument.span "simulate.chunked-run" (fun () ->
+      (* a state complete before its first round takes no round *)
+      if complete st then begin
+        time := Some 0;
+        if checkpoint_every > 0 then note_checkpoint ()
+      end;
       while !time = None && !i < cap do
         apply_round ?domains st sched !i;
         incr i;

@@ -35,10 +35,13 @@
     (every round in full duplex, every second round in half duplex), and
     each round merges from it.  Every other schedule — structured
     colorings, fault-wrapped and {!Gossip_protocol.Fault_tolerant}
-    schedules — runs on the sender path, which calls [Schedule.sender]
-    for every vertex and for every receiver's sender.  The schedule
-    selects the arm; all three give the same rounds, coverage and state
-    bits.  Memory is [n·⌈items/63⌉] words of state, plus [n] words once
+    schedules — runs on the sender path, which stages the round once
+    per vertex block ([Schedule.sender sched round], see
+    {!Gossip_protocol.Schedule.sender}) and applies the staged function
+    to every vertex and to every receiver's sender.  All three arms
+    count newly-set bits with the one constant-time
+    {!Gossip_util.Bitset.popcount}.  The schedule selects the arm; all
+    three give the same rounds, coverage and state bits.  Memory is [n·⌈items/63⌉] words of state, plus [n] words once
     a proposal schedule has run on the state; a tabled schedule brings
     its own [n·period] words of tables.
 
@@ -109,7 +112,9 @@ type checkpoint = {
 }
 
 type outcome = {
-  time : int option;  (** first round after which the run was complete *)
+  time : int option;
+      (** first round after which the run was complete; [Some 0] when
+          it was complete before its first round *)
   rounds_run : int;
   final_coverage : float;
   checkpoints : checkpoint list;
@@ -118,8 +123,12 @@ type outcome = {
 (** [run ?domains ?cap ?checkpoint_every ?on_checkpoint st sched]
     drives [st] under [sched] until complete or [cap] rounds (default
     [2n + 8·period·⌈log₂ n⌉ + 64] — covers linear-diameter cycles as
-    well as logarithmic families).  When [checkpoint_every = k > 0], a
-    {!checkpoint} is recorded every [k] rounds plus at the final round,
+    well as logarithmic families).  Completion is tested before the
+    first round too: a state already complete (no items, or one vertex)
+    runs no round and answers [time = Some 0], [rounds_run = 0].  When
+    [checkpoint_every = k > 0], a {!checkpoint} is recorded every [k]
+    rounds plus at the final round (round 0 for a state complete from
+    the start),
     passed to [on_checkpoint] (the CLI's [--progress] ticker), and —
     when a trace sink is installed — streamed as an
     ["engine.checkpoint"] JSONL event carrying the full progress/

@@ -3,13 +3,14 @@ module Schedule = Gossip_protocol.Schedule
 module Systolic = Gossip_protocol.Systolic
 
 (* Every entry point is this one loop: rounds of [p] as a schedule on a
-   fresh all-items chunked state, until [done_] holds or [cap] rounds
-   ran.  One domain: the engine serves worker domains and parallel
-   loops that would otherwise spawn domains on every round. *)
+   fresh all-items chunked state, until [done_] holds (before the first
+   round too, which answers 0) or [cap] rounds ran.  One domain: the
+   engine serves worker domains and parallel loops that would otherwise
+   spawn domains on every round. *)
 let drive ?probe ~cap ~done_ p =
   let sched = Schedule.of_systolic p in
   let st = Chunked.create (Schedule.n_vertices sched) in
-  let time = ref None in
+  let time = ref (if done_ st then Some 0 else None) in
   let i = ref 0 in
   while !time = None && !i < cap do
     Chunked.apply_round ~domains:1 st sched !i;
@@ -31,8 +32,9 @@ let run_protocol p =
   let total = Protocol.length p in
   if total = 0 then
     let n = Gossip_topology.Digraph.n_vertices (Protocol.graph p) in
-    { completed_at = None; rounds_run = 0;
-      coverage = Chunked.coverage (Chunked.create n) }
+    let st = Chunked.create n in
+    { completed_at = (if Chunked.complete st then Some 0 else None);
+      rounds_run = 0; coverage = Chunked.coverage st }
   else
     let st, rounds_run, completed_at =
       drive ~cap:total ~done_:Chunked.complete (Systolic.of_protocol p)

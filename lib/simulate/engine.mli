@@ -20,7 +20,8 @@
 (** Result of running a protocol to completion or exhaustion. *)
 type outcome = {
   completed_at : int option;
-      (** number of rounds after which gossip was complete, if it was *)
+      (** number of rounds after which gossip was complete, if it was;
+          [Some 0] when the start state already is (one vertex) *)
   rounds_run : int;
   coverage : float;  (** fraction of (processor, item) pairs known at end *)
 }
@@ -30,8 +31,9 @@ type outcome = {
 val run_protocol : Gossip_protocol.Protocol.t -> outcome
 
 (** [gossip_time ?probe ?cap p] expands the systolic protocol [p] until
-    gossip completes and returns the number of rounds, or [None] if still
-    incomplete after [cap] rounds (default [8·s·n + 64]).  [probe], when
+    gossip completes and returns the number of rounds — [Some 0] when
+    the start state is already complete (one vertex) — or [None] if
+    still incomplete after [cap] rounds (default [8·s·n + 64]).  [probe], when
     given, observes every executed round (1-based) together with the
     coverage — the fraction of the [n²] (processor, item) pairs known
     after it — without perturbing the run. *)

@@ -110,7 +110,7 @@ let run ?cap p ~model ~seed =
       ~sender:(fun _ v -> senders.(v))
   in
   let drops = ref 0 and activations = ref 0 in
-  let completed = ref None in
+  let completed = ref (if Chunked.complete st then Some 0 else None) in
   let i = ref 0 in
   while !completed = None && !i < cap do
     let round = Systolic.period_round p !i in

@@ -43,9 +43,15 @@ let union_into ~src ~dst =
     dst.words.(w) <- dst.words.(w) lor src.words.(w)
   done
 
-let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
+(* SWAR over the 63-bit word: 2-, 4- and 8-bit partial counts, then one
+   multiply sums the bytes into the top byte.  [lsr] reads the word as
+   unsigned, so bit 62 (the sign bit) counts like any other; the first
+   mask may leave bit 62 clear, since [x lsr 1] never has it set. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
+  (x * 0x0101010101010101) lsr 56
 
 let union_into_count ~src ~dst =
   if src.n <> dst.n then

@@ -18,10 +18,11 @@ let coverage know =
   let known = Array.fold_left (fun acc s -> acc + Bitset.cardinal s) 0 know in
   float_of_int known /. float_of_int (n * n)
 
-(* [run ?cap ~done_ sys] executes rounds of [sys] until [done_] holds
-   after one, or [cap] rounds ran (default 8·s·n + 64, the documented
-   default of Engine): the completion round, if any, and the coverage
-   after every executed round. *)
+(* [run ?cap ~done_ sys] executes rounds of [sys] until [done_] holds,
+   before the first round (which answers 0) or after one, or [cap]
+   rounds ran (default 8·s·n + 64, the documented default of Engine):
+   the completion round, if any, and the coverage after every executed
+   round. *)
 let run ?cap ~done_ sys =
   let n = Digraph.n_vertices (Systolic.graph sys) in
   let cap =
@@ -29,11 +30,11 @@ let run ?cap ~done_ sys =
   in
   let know = Array.init n (fun v -> Bitset.singleton n v) in
   let rec go i curve =
-    if i >= cap then (None, List.rev curve)
+    if done_ know then (Some i, List.rev curve)
+    else if i >= cap then (None, List.rev curve)
     else begin
       step know (Systolic.period_round sys i);
-      let curve = coverage know :: curve in
-      if done_ know then (Some (i + 1), List.rev curve) else go (i + 1) curve
+      go (i + 1) (coverage know :: curve)
     end
   in
   go 0 []

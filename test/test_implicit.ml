@@ -590,6 +590,276 @@ let prop_without_arcs_matches_with_drops =
            (chunked_run ?items ~domains knocked)
            (chunked_run ?items dropped))
 
+(* --- staged senders against the per-vertex rule --- *)
+
+(* The per-vertex sender rule that staged schedules replaced, kept as the
+   reference the way test/section3.ml keeps the merge rule: a reference
+   [r v] redoes the round's work (index within the period, pairing,
+   phase, wrapped rounds) for every vertex.  [ref_of_pairing] is
+   of_pairing's direction split, literally; the pairings and the
+   wrappers' round arithmetic are re-derived below from the generators'
+   definitions, never through [Schedule.sender]. *)
+let ref_of_pairing ~pairings ~full_duplex pairing r v =
+  if full_duplex then pairing (r mod pairings) v
+  else
+    let r = r mod (2 * pairings) in
+    let p = pairing (r / 2) v in
+    if p < 0 then -1
+    else if r mod 2 = 0 then if p < v then p else -1
+    else if p > v then p
+    else -1
+
+(* a proposal's pairing: mutual nominations *)
+let ref_proposal imp ~period ~seed ~full_duplex =
+  let sched = Schedule.proposal imp ~period ~seed ~full_duplex in
+  let candidate =
+    match Schedule.nomination sched with
+    | Some (_, c) -> c
+    | None -> Alcotest.fail "a proposal carries its nomination"
+  in
+  ( sched,
+    ref_of_pairing ~pairings:period ~full_duplex (fun t v ->
+        let u = candidate t v in
+        if u >= 0 && candidate t u = v then u else -1) )
+
+(* [concat]'s round split: one period of [a], then one of [b] *)
+let ref_concat (ra, sa) (rb, sb) =
+  ( (fun r v ->
+      let i = r mod (sa + sb) in
+      if i < sa then ra i v else rb (i - sa) v),
+    sa + sb )
+
+(* the stride-[off] chord pairing of [augment]: the arcs {v, v + off}
+   form gcd(n, off) cycles, numbered here by walking each from its least
+   vertex (Fault_tolerant locates positions with a modular inverse
+   instead), and coloured like a cycle, or with one colour when the
+   cycles are single pairs *)
+let ref_chord ~n ~off ~full_duplex =
+  let pos = Array.make n (-1) and start = Array.make n 0 and len = ref 0 in
+  for c = 0 to n - 1 do
+    if pos.(c) < 0 then begin
+      let u = ref c and p = ref 0 in
+      while pos.(!u) < 0 do
+        pos.(!u) <- !p;
+        start.(!u) <- c;
+        u := (!u + off) mod n;
+        incr p
+      done;
+      len := !p
+    end
+  done;
+  let len = !len in
+  let pairing, colors =
+    if len = 2 then ((fun t v -> if t = 0 then (v + off) mod n else -1), 1)
+    else
+      ( (fun t v ->
+          let p' = Schedule.cycle_partner len t pos.(v) in
+          if p' < 0 then -1 else (start.(v) + (p' * off)) mod n),
+        Schedule.cycle_colors len )
+  in
+  (ref_of_pairing ~pairings:colors ~full_duplex pairing,
+   if full_duplex then colors else 2 * colors)
+
+type staged_case = {
+  label : string;
+  imp : Implicit.t;  (** the base's topology, for concat partners *)
+  sched : Schedule.t;
+  reference : int -> int -> int;
+}
+
+let gen_staged_base =
+  QCheck.Gen.(
+    let* full_duplex = bool in
+    let fd = if full_duplex then " fd" else " hd" in
+    let case imp sched reference =
+      return { label = Schedule.name sched ^ fd; imp; sched; reference }
+    in
+    let paired imp sched pairings pairing =
+      case imp sched (ref_of_pairing ~pairings ~full_duplex pairing)
+    in
+    oneof
+      [
+        (let* dim = int_range 1 6 in
+         paired (Implicit.hypercube dim)
+           (Schedule.hypercube_sweep ~dim ~full_duplex)
+           dim
+           (fun t v -> v lxor (1 lsl t)));
+        (let* n = int_range 3 40 in
+         paired (Implicit.cycle n)
+           (Schedule.cycle_alternating ~n ~full_duplex)
+           (Schedule.cycle_colors n) (Schedule.cycle_partner n));
+        (let* rows = int_range 3 6 in
+         let* cols = int_range 3 6 in
+         let hc = Schedule.cycle_colors cols in
+         paired (Implicit.torus rows cols)
+           (Schedule.torus_colored ~rows ~cols ~full_duplex)
+           (hc + Schedule.cycle_colors rows)
+           (fun t v ->
+             let r = v / cols and c = v mod cols in
+             if t < hc then
+               let c' = Schedule.cycle_partner cols t c in
+               if c' < 0 then -1 else (r * cols) + c'
+             else
+               let r' = Schedule.cycle_partner rows (t - hc) r in
+               if r' < 0 then -1 else (r' * cols) + c));
+        (let* dim = int_range 3 4 in
+         let cc = Schedule.cycle_colors dim in
+         paired (Implicit.ccc dim)
+           (Schedule.ccc_colored ~dim ~full_duplex)
+           (cc + 1)
+           (fun t v ->
+             let w = v / dim and i = v mod dim in
+             if t < cc then
+               let i' = Schedule.cycle_partner dim t i in
+               if i' < 0 then -1 else (w * dim) + i'
+             else ((w lxor (1 lsl i)) * dim) + i));
+        (let* kautz = bool in
+         let* dim = int_range 1 4 in
+         let imp = (if kautz then Implicit.kautz 2 else Implicit.de_bruijn 2) dim in
+         let* period = int_range 1 6 in
+         let* seed = int_range 0 1_000_000 in
+         let sched, reference = ref_proposal imp ~period ~seed ~full_duplex in
+         case imp sched reference);
+      ])
+
+(* one wrapper over [c]: the identity, tabulate, without_arcs, with_drops,
+   concat, replicate, or augment (n >= 5) *)
+let gen_staged_wrap c =
+  QCheck.Gen.(
+    let n = Schedule.n_vertices c.sched and s = Schedule.period c.sched in
+    let full_duplex = Schedule.mode c.sched = Protocol.Full_duplex in
+    let wrap label sched reference =
+      return { c with label = c.label ^ " | " ^ label; sched; reference }
+    in
+    let period_arcs =
+      List.concat
+        (List.init s (fun i ->
+             List.filter_map
+               (fun v ->
+                 let x = c.reference i v in
+                 if x >= 0 then Some (x, v) else None)
+               (List.init n Fun.id)))
+    in
+    oneof
+      ([
+         return c;
+         wrap "tabulate" (Schedule.tabulate c.sched) (fun r v ->
+             c.reference (r mod s) v);
+         (let* picks = list_size (int_range 0 3) (int_range 0 10_000) in
+          let m = List.length period_arcs in
+          let dead =
+            if m = 0 then [] else List.map (fun i -> List.nth period_arcs (i mod m)) picks
+          in
+          wrap
+            (Printf.sprintf "without_arcs [%s]"
+               (String.concat "; "
+                  (List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) dead)))
+            (Schedule.without_arcs c.sched dead)
+            (fun r v ->
+              let x = c.reference (r mod s) v in
+              if x >= 0 && List.mem (x, v) dead then -1 else x));
+         (let* salt = int_range 0 1_000_000 in
+          (* drops depend on the absolute round *)
+          let drop ~round ~u ~v = Hashtbl.hash (salt, round, u, v) mod 3 = 0 in
+          wrap
+            (Printf.sprintf "with_drops salt=%d" salt)
+            (Schedule.with_drops c.sched ~drop)
+            (fun r v ->
+              let x = c.reference r v in
+              if x < 0 || drop ~round:r ~u:x ~v then -1 else x));
+         (let* period = int_range 1 4 in
+          let* seed = int_range 0 1_000_000 in
+          let* first = bool in
+          let other, other_ref = ref_proposal c.imp ~period ~seed ~full_duplex in
+          let a, ra, b, rb =
+            if first then (c.sched, c.reference, other, other_ref)
+            else (other, other_ref, c.sched, c.reference)
+          in
+          wrap
+            (Printf.sprintf "concat %s proposal(s=%d,seed=%d)"
+               (if first then "before" else "after") period seed)
+            (Fault_tolerant.concat a b)
+            (fst
+               (ref_concat
+                  (ra, Schedule.period a)
+                  (rb, Schedule.period b))));
+         (let* k = int_range 0 3 in
+          wrap
+            (Printf.sprintf "replicate k=%d" k)
+            (fst (Fault_tolerant.replicate c.sched ~k))
+            (fun r v -> c.reference (r mod (s * (k + 1)) / (k + 1)) v));
+       ]
+      @
+      if n < 5 then []
+      else
+        [
+          (let* k = int_range 0 3 in
+           wrap
+             (Printf.sprintf "augment k=%d" k)
+             (fst (Fault_tolerant.augment c.sched ~k))
+             (fst
+                (List.fold_left
+                   (fun acc off -> ref_concat acc (ref_chord ~n ~off ~full_duplex))
+                   (c.reference, s)
+                   (Fault_tolerant.strides ~n ~k))));
+        ]))
+
+let prop_staged_sender_matches_reference =
+  QCheck.Test.make
+    ~name:"staged sender = per-vertex rule, every vertex, three periods"
+    ~count:300
+    (QCheck.make
+       ~print:(fun c -> c.label)
+       QCheck.Gen.(
+         let* c = gen_staged_base in
+         let* c = gen_staged_wrap c in
+         let* twice = bool in
+         if twice then gen_staged_wrap c else return c))
+    (fun c ->
+      let n = Schedule.n_vertices c.sched in
+      let ok = ref true in
+      for r = 0 to (3 * Schedule.period c.sched) - 1 do
+        (* staged once per round, applied to every vertex *)
+        let sender = Schedule.sender c.sched r in
+        for v = 0 to n - 1 do
+          if sender v <> c.reference r v then ok := false
+        done
+      done;
+      !ok)
+
+(* --- a state complete before its first round --- *)
+
+let test_complete_before_first_round () =
+  List.iter
+    (fun (label, st, sched) ->
+      let o = Chunked.run ~cap:0 st sched in
+      check (label ^ ": time 0 under cap 0") true (o.Chunked.time = Some 0);
+      check_int (label ^ ": no round run") 0 o.Chunked.rounds_run;
+      check (label ^ ": coverage 1") true (o.Chunked.final_coverage = 1.0);
+      (* a checkpointing run records its final checkpoint at round 0 *)
+      let o = Chunked.run ~checkpoint_every:4 st sched in
+      check (label ^ ": time 0") true (o.Chunked.time = Some 0);
+      check_int (label ^ ": no round run, no cap") 0 o.Chunked.rounds_run;
+      check (label ^ ": one checkpoint, at round 0") true
+        (match o.Chunked.checkpoints with
+        | [ cp ] -> cp.Chunked.round = 0 && cp.Chunked.coverage = 1.0
+        | _ -> false);
+      let report =
+        Chunked.report_to_json ~family:"test" ~requested_n:0 ~sched ~st
+          ~outcome:o ~wall_seconds:0.0 ~domains:1
+      in
+      check (label ^ ": report says 0 rounds") true
+        (Gossip_util.Json.member "rounds" report = Some (Gossip_util.Json.Int 0)))
+    [
+      ( "Q10 sweep, zero items",
+        Chunked.create ~items:0 1024,
+        Schedule.hypercube_sweep ~dim:10 ~full_duplex:false );
+      ( "one vertex",
+        Chunked.create 1,
+        Schedule.of_systolic
+          (Systolic.make (Families.path 1) Protocol.Half_duplex [ [] ]) );
+    ]
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -617,4 +887,6 @@ let suite =
     ("apply_round validates its input", `Quick, test_apply_round_validates);
     QCheck_alcotest.to_alcotest prop_tabled_path_matches_sender_path;
     QCheck_alcotest.to_alcotest prop_without_arcs_matches_with_drops;
+    QCheck_alcotest.to_alcotest prop_staged_sender_matches_reference;
+    ("complete before the first round", `Quick, test_complete_before_first_round);
   ]

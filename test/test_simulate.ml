@@ -512,6 +512,30 @@ let test_run_protocol_no_rounds () =
   check_int "no rounds run" 0 o.Engine.rounds_run;
   check "own items only" true (o.Engine.coverage = 3.0 /. 9.0)
 
+let test_one_vertex_completes_before_any_round () =
+  (* one vertex knows every item before any round: every entry point
+     answers 0 rounds, the Section 3 reference included *)
+  let sys = Systolic.make (Families.path 1) Protocol.Half_duplex [ [] ] in
+  check "gossip time 0" true (Engine.gossip_time sys = Some 0);
+  check "broadcast time 0" true (Engine.broadcast_time sys ~src:0 = Some 0);
+  check "gossip_run: time 0, no curve" true
+    (let run = Engine.gossip_run sys in
+     run.Engine.time = Some 0 && run.Engine.curve = [||]);
+  check "reference gossip 0" true (Section3.gossip sys = (Some 0, []));
+  check "reference broadcast 0" true (Section3.broadcast sys ~src:0 = (Some 0, []));
+  check "fault-free faulted run 0" true
+    ((Faults.run sys ~model:(iid 0.0) ~seed:1).Faults.completed_at = Some 0);
+  List.iter
+    (fun (label, p) ->
+      let o = Engine.run_protocol p in
+      check (label ^ ": completed at 0") true (o.Engine.completed_at = Some 0);
+      check_int (label ^ ": no round run") 0 o.Engine.rounds_run;
+      check (label ^ ": coverage 1") true (o.Engine.coverage = 1.0))
+    [
+      ("one empty round", Protocol.make (Families.path 1) Protocol.Half_duplex [ [] ]);
+      ("no rounds", Protocol.make (Families.path 1) Protocol.Half_duplex []);
+    ]
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -546,4 +570,5 @@ let suite =
     ("faults run goldens", `Quick, test_faults_run_goldens);
     q prop_engine_matches_section3;
     ("run protocol with no rounds", `Quick, test_run_protocol_no_rounds);
+    ("one vertex completes before any round", `Quick, test_one_vertex_completes_before_any_round);
   ]

@@ -80,6 +80,23 @@ let prop_bitset_union_card =
       Bitset.cardinal (Bitset.union a b) + Bitset.cardinal (Bitset.inter a b)
       = Bitset.cardinal a + Bitset.cardinal b)
 
+(* The bit-by-bit count the constant-time [Bitset.popcount] replaced:
+   one iteration per set bit. *)
+let popcount_reference x =
+  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
+  go 0 x
+
+(* Knowledge words use all 63 bits, bit 62 (the sign bit) included, so
+   the corners are the negative words and every single bit; the random
+   words are uniform over all ints, negative ones included. *)
+let prop_popcount_matches_bit_loop =
+  let corners = 0 :: -1 :: max_int :: min_int :: List.init 63 (fun b -> 1 lsl b) in
+  QCheck.Test.make ~name:"bitset popcount = bit loop, every bit"
+    ~count:2000
+    (QCheck.make ~print:string_of_int
+       (QCheck.Gen.graft_corners QCheck.Gen.int corners ()))
+    (fun x -> Bitset.popcount x = popcount_reference x)
+
 (* --- Prng --- *)
 
 let test_prng_deterministic () =
@@ -402,4 +419,5 @@ let suite =
     q prop_bitset_union_card;
     q prop_brent_vs_bisect;
     q prop_parallel_deterministic;
+    q prop_popcount_matches_bit_loop;
   ]
