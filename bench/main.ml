@@ -875,7 +875,7 @@ let print_pattern_ablation () =
 let run_messages () =
   List.map
     (fun (name, sys) ->
-      (name, Simulate.Stats.message_complexity sys))
+      (name, Simulate.Engine.message_complexity sys))
     [
       ("Q5 sweep hd", Builders.hypercube_sweep ~dim:5 ~full_duplex:false);
       ("DB(2,5) periodic", Builders.edge_coloring_half_duplex (Families.de_bruijn 2 5));
@@ -891,17 +891,17 @@ let print_messages () =
       [ "protocol"; "rounds"; "transmissions"; "useful"; "waste %" ]
   in
   List.iter
-    (fun (name, (c : Simulate.Stats.message_costs)) ->
+    (fun (name, (c : Simulate.Engine.message_costs)) ->
       Table.add_row t
         [
           name;
-          string_of_int c.Simulate.Stats.rounds;
-          string_of_int c.Simulate.Stats.transmissions;
-          string_of_int c.Simulate.Stats.useful;
+          string_of_int c.Simulate.Engine.rounds;
+          string_of_int c.Simulate.Engine.transmissions;
+          string_of_int c.Simulate.Engine.useful;
           Printf.sprintf "%.0f%%"
             (100.0
-            *. float_of_int (c.Simulate.Stats.transmissions - c.Simulate.Stats.useful)
-            /. float_of_int (max 1 c.Simulate.Stats.transmissions));
+            *. float_of_int (c.Simulate.Engine.transmissions - c.Simulate.Engine.useful)
+            /. float_of_int (max 1 c.Simulate.Engine.transmissions));
         ])
     (run_messages ());
   Table.print t
@@ -967,7 +967,7 @@ let bechamel_tests () =
     Test.make ~name:"message_complexity"
       (stage (fun () ->
            ignore
-             (Simulate.Stats.message_complexity (Builders.cycle_rotate 16))));
+             (Simulate.Engine.message_complexity (Builders.cycle_rotate 16))));
     Test.make ~name:"broadcast_schedule"
       (stage (fun () ->
            ignore

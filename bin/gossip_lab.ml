@@ -97,24 +97,21 @@ let print_json j =
            Util.Json.Obj (("version", Util.Json.Str Version.string) :: fields)
        | other -> other))
 
-let build_network family d dim =
-  let module F = Topology.Families in
-  match family with
-  | "path" -> F.path dim
-  | "cycle" -> F.cycle dim
-  | "complete" -> F.complete dim
-  | "hypercube" -> F.hypercube dim
-  | "grid" -> F.grid dim dim
-  | "torus" -> F.torus dim dim
-  | "tree" -> F.complete_dary_tree (max 2 d) dim
-  | "bf" -> F.butterfly d dim
-  | "dwbf" -> F.wrapped_butterfly_directed d dim
-  | "wbf" -> F.wrapped_butterfly d dim
-  | "ddb" -> F.de_bruijn_directed d dim
-  | "db" -> F.de_bruijn d dim
-  | "dk" -> F.kautz_directed d dim
-  | "k" -> F.kautz d dim
-  | other -> failwith (Printf.sprintf "unknown family %S" other)
+(* FAMILY DIM -d D as a network; an unknown name or a size the generator
+   rejects is a usage error *)
+let network family d dim =
+  match Topology.Families.of_family ~family ~dim ~degree:d with
+  | Ok g -> `Ok g
+  | Error e -> `Error (false, e)
+
+(* A numeric option below its least valid value is a usage error naming
+   the option and the value given. *)
+let at_least option least v =
+  if v < least then
+    Some
+      (Printf.sprintf "option '%s': value %d must be at least %d" option v
+         least)
+  else None
 
 let family_arg =
   C.Arg.(
@@ -132,6 +129,9 @@ let degree_arg =
   C.Arg.(
     value & opt int 2
     & info [ "d"; "degree" ] ~docv:"D" ~doc:"Degree for string families.")
+
+let network_term =
+  C.Term.(ret (const network $ family_arg $ degree_arg $ dim_arg))
 
 (* --- tables --- *)
 
@@ -213,8 +213,7 @@ let tables_cmd =
 (* --- analyze --- *)
 
 let analyze_cmd =
-  let run () family d dim =
-    let g = build_network family d dim in
+  let run () g =
     let ctx = Context.create () in
     Format.printf "%a@." Analysis.pp_network_report
       (Analysis.analyze_network ~ctx g);
@@ -222,22 +221,13 @@ let analyze_cmd =
   in
   C.Cmd.v
     (C.Cmd.info "analyze" ~doc:"Closed-form lower bounds for one network.")
-    C.Term.(const run $ setup_term $ family_arg $ degree_arg $ dim_arg)
+    C.Term.(const run $ setup_term $ network_term)
 
 (* --- simulate --- *)
 
-let default_systolic g full_duplex =
-  if Topology.Digraph.is_symmetric g then
-    if full_duplex then Protocol.Builders.edge_coloring_full_duplex g
-    else Protocol.Builders.edge_coloring_half_duplex g
-  else
-    Protocol.Builders.random_systolic g Protocol.Protocol.Directed ~period:8
-      ~seed:1 ~density:1.0
-
 (* The materialized path: build the digraph, certify the protocol. *)
-let simulate_materialized family d dim full_duplex json =
-  let g = build_network family d dim in
-  let sys = default_systolic g full_duplex in
+let simulate_materialized g full_duplex json =
+  let sys = Protocol.Builders.default_systolic g ~full_duplex in
   let ctx = Context.create () in
   let r = Analysis.certify_protocol ~ctx sys in
   if json then begin
@@ -339,15 +329,27 @@ let simulate_implicit ~family ~n ~degree ~items ~checkpoint_every ~cap ~period
 let simulate_cmd =
   let run () family_pos d dim_pos full_duplex json ifamily n items
       checkpoint_every cap period seed progress =
-    match ifamily with
-    | Some family ->
+    let bad_option =
+      List.find_map Fun.id
+        [
+          Option.bind items (at_least "--items" 1);
+          at_least "--checkpoint-every" 0 checkpoint_every;
+          Option.bind cap (at_least "--cap" 1);
+        ]
+    in
+    match (ifamily, bad_option) with
+    | Some _, Some msg -> `Error (true, msg)
+    | Some family, None ->
         simulate_implicit ~family ~n ~degree:d ~items ~checkpoint_every ~cap
           ~period ~seed ~full_duplex ~progress ~json
-    | None -> (
+    | None, _ -> (
         match (family_pos, dim_pos) with
-        | Some family, Some dim ->
-            simulate_materialized family d dim full_duplex json;
-            `Ok ()
+        | Some family, Some dim -> (
+            match network family d dim with
+            | `Ok g ->
+                simulate_materialized g full_duplex json;
+                `Ok ()
+            | `Error _ as e -> e)
         | _ ->
             `Error
               ( true,
@@ -453,10 +455,16 @@ let simulate_cmd =
 (* --- price --- *)
 
 let price_cmd =
-  let run () family d dim s_max =
-    let g = build_network family d dim in
-    if Topology.Digraph.n_vertices g > 12 then
-      failwith "price: exhaustive search needs a tiny network (n <= 12)";
+  let run () g s_max =
+    let n = Topology.Digraph.n_vertices g in
+    if n > 12 then
+      `Error
+        ( false,
+          Printf.sprintf
+            "price: exhaustive search needs a tiny network (n <= 12), got n \
+             = %d"
+            n )
+    else
     let mode =
       if Topology.Digraph.is_symmetric g then Protocol.Protocol.Half_duplex
       else Protocol.Protocol.Directed
@@ -477,7 +485,8 @@ let price_cmd =
         | Search.Systolic_optimal.Too_large ->
             Printf.printf "s=%d: sweep too large\n" s)
       systolic;
-    report ()
+    report ();
+    `Ok ()
   in
   let s_max =
     C.Arg.(value & opt int 5 & info [ "s-max" ] ~docv:"S" ~doc:"Largest period.")
@@ -485,13 +494,12 @@ let price_cmd =
   C.Cmd.v
     (C.Cmd.info "price"
        ~doc:"Exact price of systolization on a tiny network (exhaustive).")
-    C.Term.(const run $ setup_term $ family_arg $ degree_arg $ dim_arg $ s_max)
+    C.Term.(ret (const run $ setup_term $ network_term $ s_max))
 
 (* --- dot --- *)
 
 let dot_cmd =
-  let run () family d dim delay =
-    let g = build_network family d dim in
+  let run () g delay =
     if delay then begin
       let sys =
         if Topology.Digraph.is_symmetric g then
@@ -516,13 +524,12 @@ let dot_cmd =
   in
   C.Cmd.v
     (C.Cmd.info "dot" ~doc:"Emit the network (or its delay digraph) as Graphviz DOT.")
-    C.Term.(const run $ setup_term $ family_arg $ degree_arg $ dim_arg $ delay)
+    C.Term.(const run $ setup_term $ network_term $ delay)
 
 (* --- optimal (exhaustive) --- *)
 
 let optimal_cmd =
-  let run () family d dim full_duplex json =
-    let g = build_network family d dim in
+  let run () g full_duplex json =
     let mode =
       if not (Topology.Digraph.is_symmetric g) then Protocol.Protocol.Directed
       else if full_duplex then Protocol.Protocol.Full_duplex
@@ -570,15 +577,18 @@ let optimal_cmd =
   C.Cmd.v
     (C.Cmd.info "optimal"
        ~doc:"Exact optimal gossip/broadcast (tiny networks, <= 24 vertices).")
-    C.Term.(
-      const run $ setup_term $ family_arg $ degree_arg $ dim_arg $ fd
-      $ json_arg)
+    C.Term.(const run $ setup_term $ network_term $ fd $ json_arg)
 
 (* --- broadcast --- *)
 
 let broadcast_cmd =
-  let run () family d dim src =
-    let g = build_network family d dim in
+  let run () g src =
+    let n = Topology.Digraph.n_vertices g in
+    if src < 0 || src >= n then
+      `Error
+        ( true,
+          Printf.sprintf "option '--src': vertex %d is outside [0, %d)" src n )
+    else
     let mode =
       if Topology.Digraph.is_symmetric g then Protocol.Protocol.Half_duplex
       else Protocol.Protocol.Directed
@@ -590,16 +600,16 @@ let broadcast_cmd =
       (Bounds.Broadcast.lower_bound g);
     Printf.printf "c(d)·log n asymptotic: %.2f\n"
       (Bounds.Broadcast.asymptotic_coefficient g
-      *. Util.Numeric.log2
-           (float_of_int (Topology.Digraph.n_vertices g)));
-    report ()
+      *. Util.Numeric.log2 (float_of_int n));
+    report ();
+    `Ok ()
   in
   let src =
     C.Arg.(value & opt int 0 & info [ "src" ] ~docv:"V" ~doc:"Source vertex.")
   in
   C.Cmd.v
     (C.Cmd.info "broadcast" ~doc:"Greedy broadcast schedule and bounds.")
-    C.Term.(const run $ setup_term $ family_arg $ degree_arg $ dim_arg $ src)
+    C.Term.(ret (const run $ setup_term $ network_term $ src))
 
 (* --- certify a protocol file --- *)
 
@@ -656,9 +666,8 @@ let certify_file_cmd =
 (* --- stats: exercise the memoizing pipeline --- *)
 
 let stats_cmd =
-  let run () family d dim full_duplex json =
-    let g = build_network family d dim in
-    let sys = default_systolic g full_duplex in
+  let run () g full_duplex json =
+    let sys = Protocol.Builders.default_systolic g ~full_duplex in
     let ctx = Context.create () in
     let mode = Protocol.Systolic.mode sys in
     let s = Protocol.Systolic.period sys in
@@ -716,17 +725,13 @@ let stats_cmd =
          "Run a certificate workload twice through one shared memoizing \
           context and print cache statistics (and span timings under \
           --trace).")
-    C.Term.(
-      const run $ setup_term $ family_arg $ degree_arg $ dim_arg $ fd
-      $ json_arg)
+    C.Term.(const run $ setup_term $ network_term $ fd $ json_arg)
 
 (* --- faults: slowdown under i.i.d. / permanent / bursty arc faults --- *)
 
 let faults_cmd =
-  let run () family d dim full_duplex trials seed model probabilities ks
-      p_recover json =
-    let g = build_network family d dim in
-    let sys = default_systolic g full_duplex in
+  let run () g full_duplex trials seed model probabilities ks p_recover json =
+    let sys = Protocol.Builders.default_systolic g ~full_duplex in
     let models () =
       match model with
       | "iid" -> List.map (fun p -> Simulate.Faults.Iid { p }) probabilities
@@ -851,8 +856,8 @@ let faults_cmd =
           the counts matter).")
     C.Term.(
       ret
-        (const run $ setup_term $ family_arg $ degree_arg $ dim_arg $ fd
-       $ trials $ seed $ model $ probabilities $ ks $ p_recover $ json_arg))
+        (const run $ setup_term $ network_term $ fd $ trials $ seed $ model
+       $ probabilities $ ks $ p_recover $ json_arg))
 
 (* --- fault-tolerance: certify-faults / harden --- *)
 
@@ -932,9 +937,9 @@ let ft_fd_arg =
 
 let certify_faults_cmd =
   let run () family n d k budget seed period cap slack full_duplex harden json =
-    if Option.value ~default:1 cap < 1 then
-      `Error (true, "option '--cap': value must be at least 1")
-    else
+    match Option.bind cap (at_least "--cap" 1) with
+    | Some msg -> `Error (true, msg)
+    | None ->
     match resolve_hardened ~family ~n ~degree:d ~period ~seed ~full_duplex
             ~harden ~k
     with
@@ -946,11 +951,15 @@ let certify_faults_cmd =
           Simulate.Certifier.to_json sched
             (Simulate.Certifier.certify ?cap ~slack ~budget sched ~k ~seed)
         in
-        let cert =
+        (* k, the budget and the slack all come from the command line,
+           so whatever the certifier rejects is a usage error *)
+        match
           Context.fault_certificate ctx ~fingerprint ~k ~seed ~budget
             ~cap:(Option.value ~default:(-1) cap)
             ~compute:cert_json
-        in
+        with
+        | exception Invalid_argument msg -> `Error (false, msg)
+        | cert ->
         if json then
           print_json
             (Util.Json.Obj
@@ -1049,42 +1058,42 @@ let certify_faults_cmd =
 let harden_cmd =
   let run () family n d k_max budget seed period slack full_duplex json =
     let transforms_for k = if k = 0 then [ "none" ] else [ "replicate"; "augment" ] in
-    let rows = ref [] in
-    let err = ref None in
-    List.iter
-      (fun k ->
-        List.iter
-          (fun transform ->
-            if !err = None then
-              match
-                resolve_hardened ~family ~n ~degree:d ~period ~seed
-                  ~full_duplex ~harden:transform ~k
-              with
-              | Error e -> err := Some e
-              | Ok (_base, sched, rep) ->
-                  let v =
-                    Simulate.Certifier.certify ~slack ~budget sched ~k ~seed
-                  in
-                  (* the fault-free reference: the paper's lower bound for
-                     the hardened scheme's own network and period *)
-                  let g =
-                    Topology.Digraph.make
-                      ~name:(Protocol.Schedule.name sched)
-                      (Protocol.Schedule.n_vertices sched)
-                      (Array.to_list (Simulate.Certifier.period_arcs sched))
-                  in
-                  let oracle =
-                    Bounds.Oracle.lower_bounds g
-                      ~mode:(Protocol.Schedule.mode sched)
-                      ~s:(Some (Protocol.Schedule.period sched))
-                  in
-                  rows := (k, transform, rep, v, oracle.Bounds.Oracle.sound) :: !rows)
-          (transforms_for k))
-      (List.init (k_max + 1) (fun k -> k));
-    match !err with
-    | Some e -> `Error (false, e)
+    let row k transform =
+      match
+        resolve_hardened ~family ~n ~degree:d ~period ~seed ~full_duplex
+          ~harden:transform ~k
+      with
+      | Error e -> invalid_arg e
+      | Ok (_base, sched, rep) ->
+          let v = Simulate.Certifier.certify ~slack ~budget sched ~k ~seed in
+          (* the fault-free reference: the paper's lower bound for the
+             hardened scheme's own network and period *)
+          let g =
+            Topology.Digraph.make
+              ~name:(Protocol.Schedule.name sched)
+              (Protocol.Schedule.n_vertices sched)
+              (Array.to_list (Simulate.Certifier.period_arcs sched))
+          in
+          let oracle =
+            Bounds.Oracle.lower_bounds g
+              ~mode:(Protocol.Schedule.mode sched)
+              ~s:(Some (Protocol.Schedule.period sched))
+          in
+          (k, transform, rep, v, oracle.Bounds.Oracle.sound)
+    in
+    match at_least "--k-max" 0 k_max with
+    | Some msg -> `Error (true, msg)
     | None ->
-        let rows = List.rev !rows in
+    (* the family, k, the budget and the slack all come from the command
+       line, so whatever resolving or certifying a row rejects is a usage
+       error *)
+    match
+      List.concat_map
+        (fun k -> List.map (row k) (transforms_for k))
+        (List.init (k_max + 1) Fun.id)
+    with
+    | exception Invalid_argument e -> `Error (false, e)
+    | rows ->
         if json then
           print_json
             (Util.Json.Obj
@@ -1201,8 +1210,7 @@ let version_cmd =
 (* --- info --- *)
 
 let info_cmd =
-  let run () family d dim =
-    let g = build_network family d dim in
+  let run () g =
     Format.printf "%a@." Topology.Digraph.pp g;
     Format.printf "diameter: %d@." (Topology.Metrics.diameter g);
     Format.printf "degree parameter d: %d@."
@@ -1212,7 +1220,7 @@ let info_cmd =
     report ()
   in
   C.Cmd.v (C.Cmd.info "info" ~doc:"Structural facts about a network.")
-    C.Term.(const run $ setup_term $ family_arg $ degree_arg $ dim_arg)
+    C.Term.(const run $ setup_term $ network_term)
 
 let () =
   let doc = "systolic gossip lower-bound laboratory" in

@@ -1,11 +1,9 @@
 module Digraph = Gossip_topology.Digraph
-module Metrics = Gossip_topology.Metrics
 module Protocol = Gossip_protocol.Protocol
 module Systolic = Gossip_protocol.Systolic
 module Engine = Gossip_simulate.Engine
 module General = Gossip_bounds.General
 module Certificate = Gossip_delay.Certificate
-module Delay_digraph = Gossip_delay.Delay_digraph
 
 type network_report = {
   name : string;
@@ -19,19 +17,15 @@ type network_report = {
   nonsystolic_bound : float;
 }
 
-let analyze_network ?ctx ?(periods = [ 3; 4; 5; 6; 7; 8 ]) g =
+let analyze_network ?(ctx = Context.create ())
+    ?(periods = [ 3; 4; 5; 6; 7; 8 ]) g =
   let n = Digraph.n_vertices g in
-  let diameter =
-    match ctx with
-    | Some ctx -> Context.diameter ctx g
-    | None -> Metrics.diameter g
-  in
   {
     name = Digraph.name g;
     n;
     arcs = Digraph.n_arcs g;
     symmetric = Digraph.is_symmetric g;
-    diameter;
+    diameter = Context.diameter ctx g;
     degree_parameter = Digraph.degree_parameter g;
     general_bounds =
       List.map
@@ -56,14 +50,10 @@ type protocol_report = {
   asymptotic_main_term : float;
 }
 
-let certify_protocol ?ctx ?horizon p =
+let certify_protocol ?(ctx = Context.create ()) ?horizon p =
   let g = Systolic.graph p in
   let n = Digraph.n_vertices g in
-  let gossip_time =
-    match ctx with
-    | Some ctx -> Context.gossip_time ctx ?cap:horizon p
-    | None -> Engine.gossip_time ?cap:horizon p
-  in
+  let gossip_time = Context.gossip_time ctx ?cap:horizon p in
   let length =
     match (gossip_time, horizon) with
     | Some t, _ -> t
@@ -71,13 +61,8 @@ let certify_protocol ?ctx ?horizon p =
     | None, None -> (8 * Systolic.period p * n) + 64
   in
   let certificate =
-    match ctx with
-    | Some ctx ->
-        let dg = Context.delay_digraph ctx p ~length in
-        Context.certify ctx dg ~mode:(Systolic.mode p)
-    | None ->
-        let dg = Delay_digraph.of_systolic p ~length in
-        Certificate.certify dg ~mode:(Systolic.mode p)
+    Context.certify ctx (Context.delay_digraph ctx p ~length)
+      ~mode:(Systolic.mode p)
   in
   let s = max 3 (Systolic.period p) in
   let e_coeff =
@@ -91,10 +76,7 @@ let certify_protocol ?ctx ?horizon p =
     period = Systolic.period p;
     gossip_time;
     broadcast_time = Engine.broadcast_time ?cap:horizon p ~src:0;
-    diameter =
-      (match ctx with
-      | Some ctx -> Context.diameter ctx g
-      | None -> Metrics.diameter g);
+    diameter = Context.diameter ctx g;
     certificate;
     asymptotic_main_term = General.coefficient_of_log ~e_coeff ~n;
   }
@@ -102,26 +84,6 @@ let certify_protocol ?ctx ?horizon p =
 module Json = Gossip_util.Json
 
 let int_opt_json = function Some t -> Json.Int t | None -> Json.Null
-
-let bounds_json l =
-  Json.List
-    (List.map
-       (fun (s, b) -> Json.Obj [ ("s", Json.Int s); ("bound", Json.Float b) ])
-       l)
-
-let network_report_to_json r =
-  Json.Obj
-    [
-      ("name", Json.Str r.name);
-      ("n", Json.Int r.n);
-      ("arcs", Json.Int r.arcs);
-      ("symmetric", Json.Bool r.symmetric);
-      ("diameter", Json.Int r.diameter);
-      ("degree_parameter", Json.Int r.degree_parameter);
-      ("general_bounds", bounds_json r.general_bounds);
-      ("general_bounds_fd", bounds_json r.general_bounds_fd);
-      ("nonsystolic_bound", Json.Float r.nonsystolic_bound);
-    ]
 
 let protocol_report_to_json ?coverage r =
   let base =

@@ -20,9 +20,9 @@ type network_report = {
 }
 
 (** [analyze_network ?ctx ?periods g] — closed-form lower bounds for [g]
-    (default periods 3..8).  With [ctx], the diameter sweep is served
-    from (and recorded in) the shared {!Context}; the report is identical
-    either way. *)
+    (default periods 3..8).  The diameter sweep is served from (and
+    recorded in) [ctx] (default: a fresh {!Context}); the report is the
+    same for any context. *)
 val analyze_network :
   ?ctx:Context.t ->
   ?periods:int list ->
@@ -46,10 +46,11 @@ type protocol_report = {
     to completion (or [horizon] rounds), build its delay digraph, and
     emit the Theorem 4.1 certificate.  The certified bound is guaranteed
     (and checked in the tests) to be at most the measured gossip time.
-    With [ctx], the simulation, the delay digraph and every norm solve
-    of the certificate's λ sweep go through the shared {!Context} — a
-    repeated analysis of the same protocol is nearly free, and the
-    report is identical either way. *)
+    The simulation, the delay digraph and every norm solve of the
+    certificate's λ sweep go through [ctx] (default: a fresh
+    {!Context}) — a repeated analysis of the same protocol in a shared
+    context is nearly free, and the report is the same for any
+    context. *)
 val certify_protocol :
   ?ctx:Context.t ->
   ?horizon:int ->
@@ -61,12 +62,9 @@ val pp_network_report : Format.formatter -> network_report -> unit
 
 val pp_protocol_report : Format.formatter -> protocol_report -> unit
 
-(** [network_report_to_json] / [protocol_report_to_json] are the
-    machine-readable forms behind the CLI's [--json] modes.  The
-    optional [coverage] array (the per-round dissemination curve of
-    {!Gossip_simulate.Engine.gossip_run}) is appended as a ["coverage"]
-    field when given. *)
-val network_report_to_json : network_report -> Gossip_util.Json.t
-
+(** [protocol_report_to_json] is the machine-readable form behind the
+    CLI's [--json] modes.  The optional [coverage] array (the per-round
+    dissemination curve of {!Gossip_simulate.Engine.gossip_run}) is
+    appended as a ["coverage"] field when given. *)
 val protocol_report_to_json :
   ?coverage:float array -> protocol_report -> Gossip_util.Json.t

@@ -1,9 +1,7 @@
 module Digraph = Gossip_topology.Digraph
 module Metrics = Gossip_topology.Metrics
-module Separator = Gossip_topology.Separator
 module Protocol = Gossip_protocol.Protocol
 module Systolic = Gossip_protocol.Systolic
-module Spectral = Gossip_linalg.Spectral
 module Delay_digraph = Gossip_delay.Delay_digraph
 module Delay_matrix = Gossip_delay.Delay_matrix
 module Certificate = Gossip_delay.Certificate
@@ -73,10 +71,8 @@ type t = {
   mutable n_misses : int;
   mutable n_evictions : int;
   diameters : (string, int entry) Hashtbl.t;
-  separators : (string, Separator.measurement entry) Hashtbl.t;
   dgs : (string * int, Delay_digraph.t entry) Hashtbl.t;
-  norms : (string * string * float, float entry) Hashtbl.t;
-  blocks : (string * float * int, Gossip_linalg.Dense.t entry) Hashtbl.t;
+  norms : (string * float, float entry) Hashtbl.t;
   lambdas : (string * int, float entry) Hashtbl.t;
   times : (string * int, int option entry) Hashtbl.t;
   fault_certs :
@@ -90,10 +86,8 @@ type t = {
 let create ?(capacity = 4096) ?domains () =
   if capacity < 1 then invalid_arg "Context.create: capacity < 1";
   let diameters = Hashtbl.create 32 in
-  let separators = Hashtbl.create 32 in
   let dgs = Hashtbl.create 32 in
   let norms = Hashtbl.create 256 in
-  let blocks = Hashtbl.create 256 in
   let lambdas = Hashtbl.create 32 in
   let times = Hashtbl.create 32 in
   let fault_certs = Hashtbl.create 32 in
@@ -106,20 +100,16 @@ let create ?(capacity = 4096) ?domains () =
     n_misses = 0;
     n_evictions = 0;
     diameters;
-    separators;
     dgs;
     norms;
-    blocks;
     lambdas;
     times;
     fault_certs;
     shelves =
       [
         make_shelf "diameter" diameters;
-        make_shelf "separator" separators;
         make_shelf "delay_digraph" dgs;
         make_shelf "norm" norms;
-        make_shelf "block" blocks;
         make_shelf "lambda_star" lambdas;
         make_shelf "gossip_time" times;
         make_shelf "fault_cert" fault_certs;
@@ -157,20 +147,6 @@ let protocol_fingerprint sys =
    keys keep distinguishing same-named graphs with different arc lists. *)
 let dg_fingerprint dg =
   fingerprint (Delay_digraph.graph dg) ^ "|" ^ Delay_digraph.fingerprint dg
-
-let separator_digest (sep : Separator.t) =
-  let h = ref 0x3c6ef372 in
-  List.iter (fun v -> mix h (v + 1)) sep.Separator.v1;
-  mix h 0x1234567;
-  List.iter (fun v -> mix h (v + 1)) sep.Separator.v2;
-  Printf.sprintf "%h|%h|%x" sep.Separator.alpha sep.Separator.ell
-    (!h land max_int)
-
-let options_digest = function
-  | None -> "default"
-  | Some (o : Spectral.options) ->
-      Printf.sprintf "%h|%d|%d" o.Spectral.tol o.Spectral.max_iter
-        o.Spectral.seed
 
 (* {2 Bookkeeping core} *)
 
@@ -272,26 +248,14 @@ let diameter ctx g =
   memo ctx ~kind:"diameter" ctx.diameters (fingerprint g) (fun () ->
       Metrics.diameter ?domains:ctx.domains g)
 
-let separator_measure ctx g sep =
-  memo ctx ~kind:"separator" ctx.separators
-    (fingerprint g ^ "|" ^ separator_digest sep)
-    (fun () -> Separator.measure g sep)
-
 let delay_digraph ctx sys ~length =
   memo ctx ~kind:"delay_digraph" ctx.dgs
     (protocol_fingerprint sys, length)
     (fun () -> Delay_digraph.of_systolic sys ~length)
 
-let norm ctx ?options dg lambda =
-  memo ctx ~kind:"norm" ctx.norms
-    (dg_fingerprint dg, options_digest options, lambda)
-    (fun () ->
-      Delay_matrix.norm_blockwise ?options ?domains:ctx.domains dg lambda)
-
-let vertex_block ctx dg lambda x =
-  memo ctx ~kind:"block" ctx.blocks
-    (dg_fingerprint dg, lambda, x)
-    (fun () -> Delay_matrix.vertex_block dg lambda x)
+let norm ctx dg lambda =
+  memo ctx ~kind:"norm" ctx.norms (dg_fingerprint dg, lambda) (fun () ->
+      Delay_matrix.norm_blockwise ?domains:ctx.domains dg lambda)
 
 let lambda_star ctx ~mode s =
   let cls =
@@ -320,16 +284,8 @@ let fault_certificate ctx ~fingerprint ~k ~seed ~budget ~cap ~compute =
 
 (* {2 Context-aware pipeline entry points} *)
 
-let certify ctx ?lambdas ?refine ?options dg ~mode =
-  Certificate.certify ?lambdas ?refine ?options
-    ~norm:(fun dg l -> norm ctx ?options dg l)
-    dg ~mode
-
-let certify_systolic ctx ?lambdas ?refine ?options sys =
-  Certificate.certify_systolic ?lambdas ?refine ?options
-    ~norm:(fun dg l -> norm ctx ?options dg l)
-    ~expand:(fun sys ~length -> delay_digraph ctx sys ~length)
-    sys
+let certify ctx ?refine dg ~mode =
+  Certificate.certify ?refine ~norm:(norm ctx) dg ~mode
 
 let lower_bounds ctx ?family g ~mode ~s =
   Oracle.lower_bounds ?family ~diameter:(diameter ctx g) g ~mode ~s

@@ -2,9 +2,8 @@
 
     Every bound in the paper is assembled from the same handful of
     intermediate artifacts: the delay digraph of a protocol expansion,
-    the per-vertex local blocks [Mx(λ)], the norm [‖M(λ)‖], the critical
-    roots [λ*(s)], separator measurements, BFS diameters and measured
-    gossip times.  Historically each layer — {!Analysis},
+    the norm [‖M(λ)‖], the critical roots [λ*(s)], BFS diameters and
+    measured gossip times.  Historically each layer — {!Analysis},
     {!Gossip_bounds.Oracle}, {!Gossip_delay.Certificate}, the benchmark
     harness — rebuilt them independently; a context caches them once and
     hands them to every consumer.
@@ -74,42 +73,18 @@ val protocol_fingerprint : Gossip_protocol.Systolic.t -> string
     graph fingerprint. *)
 val diameter : t -> Gossip_topology.Digraph.t -> int
 
-(** [separator_measure ctx g sep] —
-    {!Gossip_topology.Separator.measure}, cached per (graph, separator
-    sets) pair. *)
-val separator_measure :
-  t ->
-  Gossip_topology.Digraph.t ->
-  Gossip_topology.Separator.t ->
-  Gossip_topology.Separator.measurement
-
 (** [delay_digraph ctx sys ~length] —
     {!Gossip_delay.Delay_digraph.of_systolic}, cached per (protocol,
     length). *)
 val delay_digraph :
   t -> Gossip_protocol.Systolic.t -> length:int -> Gossip_delay.Delay_digraph.t
 
-(** [norm ctx ?options dg lambda] — [‖M(λ)‖] by
+(** [norm ctx dg lambda] — [‖M(λ)‖] by
     {!Gossip_delay.Delay_matrix.norm_blockwise}, cached per (delay
     digraph, λ).  This is the pipeline's hottest artifact: certificate λ
     sweeps, refinement passes and norm tables all query it repeatedly at
     identical λ. *)
-val norm :
-  t ->
-  ?options:Gossip_linalg.Spectral.options ->
-  Gossip_delay.Delay_digraph.t ->
-  float ->
-  float
-
-(** [vertex_block ctx dg lambda x] — the local block [Mx(λ)]
-    ({!Gossip_delay.Delay_matrix.vertex_block}), cached per (delay
-    digraph, λ, vertex). *)
-val vertex_block :
-  t ->
-  Gossip_delay.Delay_digraph.t ->
-  float ->
-  int ->
-  Gossip_linalg.Dense.t
+val norm : t -> Gossip_delay.Delay_digraph.t -> float -> float
 
 (** [lambda_star ctx ~mode s] — the critical root [λ*(s)] of the mode's
     norm function ({!Gossip_bounds.General.lambda_star} /
@@ -143,7 +118,7 @@ val fault_certificate :
 
 (** {1 Context-aware pipeline entry points} *)
 
-(** [certify ctx ?lambdas ?refine ?options dg ~mode] —
+(** [certify ctx ?refine dg ~mode] —
     {!Gossip_delay.Certificate.certify} with this context's cached norm
     evaluator injected: the λ grid, the refinement sweep (which revisits
     the coarse winner's λ) and any later certificate over the same delay
@@ -151,23 +126,9 @@ val fault_certificate :
     call returns. *)
 val certify :
   t ->
-  ?lambdas:float list ->
   ?refine:bool ->
-  ?options:Gossip_linalg.Spectral.options ->
   Gossip_delay.Delay_digraph.t ->
   mode:Gossip_protocol.Protocol.mode ->
-  Gossip_delay.Certificate.t
-
-(** [certify_systolic ctx ?lambdas ?refine ?options sys] — horizon-free
-    {!Gossip_delay.Certificate.certify_systolic} through the context:
-    both the expansion ladder's delay digraphs and their norm solves are
-    cached. *)
-val certify_systolic :
-  t ->
-  ?lambdas:float list ->
-  ?refine:bool ->
-  ?options:Gossip_linalg.Spectral.options ->
-  Gossip_protocol.Systolic.t ->
   Gossip_delay.Certificate.t
 
 (** [lower_bounds ctx ?family g ~mode ~s] —
@@ -187,9 +148,8 @@ val lower_bounds :
 val stats : t -> stats
 
 (** [stats_by_kind ctx] — the same counters broken down per artifact
-    kind, in a fixed order: ["diameter"], ["separator"],
-    ["delay_digraph"], ["norm"], ["block"], ["lambda_star"],
-    ["gossip_time"], ["fault_cert"].  The kind totals sum to
+    kind, in a fixed order: ["diameter"], ["delay_digraph"], ["norm"],
+    ["lambda_star"], ["gossip_time"], ["fault_cert"].  The kind totals sum to
     {!stats}. *)
 val stats_by_kind : t -> (string * kind_stats) list
 

@@ -53,14 +53,9 @@ let smallest_feasible ~nu ~lambda ~pairs ~m1 ~m2 ~start ~horizon =
   in
   scan 1
 
-let certify_generic ?lambdas ?(refine = false) ?options ?norm dg ~mode ~pairs
-    ~pred_src ~pred_dst ~start_of =
-  let lambdas = match lambdas with Some l -> l | None -> default_lambdas in
-  let norm =
-    match norm with
-    | Some f -> f
-    | None -> fun dg lambda -> Delay_matrix.norm_blockwise ?options dg lambda
-  in
+let certify_generic ?(refine = false)
+    ?(norm = fun dg lambda -> Delay_matrix.norm_blockwise dg lambda) dg ~mode
+    ~pairs ~pred_src ~pred_dst ~start_of =
   let horizon = Delay_digraph.protocol_length dg in
   let m1 = cumulative_counts dg pred_src in
   let m2 = cumulative_counts dg pred_dst in
@@ -88,18 +83,15 @@ let certify_generic ?lambdas ?(refine = false) ?options ?norm dg ~mode ~pairs
       | Some b -> if cert.bound > b.bound then best := Some cert
     end
   in
-  List.iter consider lambdas;
-  (match (!best, refine) with
-  | Some coarse, true ->
-      (* finer sweep around the coarse winner; the bound only improves *)
-      let center = coarse.lambda in
-      for i = -10 to 10 do
-        consider (center +. (0.005 *. float_of_int i))
-      done
-  | _ -> ());
-  match !best with
-  | Some c -> c
-  | None -> invalid_arg "Certificate.certify: no valid lambda supplied"
+  (* the grid lies inside (0, 1), so every pass below sets [best] *)
+  List.iter consider default_lambdas;
+  let coarse = Option.get !best in
+  if refine then
+    (* finer sweep around the coarse winner; the bound only improves *)
+    for i = -10 to 10 do
+      consider (coarse.lambda +. (0.005 *. float_of_int i))
+    done;
+  Option.get !best
 
 (* Structural span tags: the digest identifies which delay digraph a
    recorded certificate search ran over, so traces of repeated runs can
@@ -111,18 +103,18 @@ let span_attrs dg =
     ("window", Gossip_util.Json.Int (Delay_digraph.window dg));
   ]
 
-let certify ?lambdas ?refine ?options ?norm dg ~mode =
+let certify ?refine ?norm dg ~mode =
   let n =
     float_of_int (Gossip_topology.Digraph.n_vertices (Delay_digraph.graph dg))
   in
   Gossip_util.Instrument.span "delay.certify" ~attrs:(span_attrs dg) (fun () ->
-      certify_generic ?lambdas ?refine ?options ?norm dg ~mode
+      certify_generic ?refine ?norm dg ~mode
         ~pairs:(n *. (n -. 1.0))
         ~pred_src:(fun _ -> true)
         ~pred_dst:(fun _ -> true)
         ~start_of:(fun () -> 1))
 
-let certify_separator ?lambdas ?refine ?options ?norm dg ~mode ~sep =
+let certify_separator dg ~mode ~sep =
   let open Gossip_topology.Separator in
   let g = Delay_digraph.graph dg in
   let v1 = Hashtbl.create 64 and v2 = Hashtbl.create 64 in
@@ -132,14 +124,13 @@ let certify_separator ?lambdas ?refine ?options ?norm dg ~mode ~sep =
   let dist = Gossip_topology.Metrics.set_distance g sep.v1 sep.v2 in
   Gossip_util.Instrument.span "delay.certify-separator" ~attrs:(span_attrs dg)
     (fun () ->
-      certify_generic ?lambdas ?refine ?options ?norm dg ~mode
+      certify_generic dg ~mode
         ~pairs:(float_of_int c1 *. float_of_int c2)
         ~pred_src:(fun a -> Hashtbl.mem v1 a.Delay_digraph.src)
         ~pred_dst:(fun a -> Hashtbl.mem v2 a.Delay_digraph.dst)
         ~start_of:(fun () -> max 1 (dist - 1)))
 
-let certify_systolic ?lambdas ?refine ?options ?norm
-    ?(expand = fun sys ~length -> Delay_digraph.of_systolic sys ~length) sys =
+let certify_systolic ?refine sys =
   let module Systolic = Gossip_protocol.Systolic in
   let s = Systolic.period sys in
   let mode = Systolic.mode sys in
@@ -151,8 +142,8 @@ let certify_systolic ?lambdas ?refine ?options ?norm
      completion scale. *)
   let max_length = max (8 * s) (4 * s * n) in
   let rec go length previous =
-    let dg = expand sys ~length in
-    let cert = certify ?lambdas ?refine ?options ?norm dg ~mode in
+    let dg = Delay_digraph.of_systolic sys ~length in
+    let cert = certify ?refine dg ~mode in
     match previous with
     | Some p when p.bound = cert.bound -> cert
     | _ when 2 * length > max_length -> cert

@@ -26,35 +26,28 @@ type t = {
   activations : int;  (** [m] over the analyzed horizon *)
 }
 
-(** [certify ?lambdas ?refine ?options ?norm dg ~mode] computes the
-    Theorem 4.1 certificate for the delay digraph of a concrete protocol.
-    [lambdas] defaults to a grid over (0.05, 0.95); with [refine]
-    (default false) a second, finer λ grid is scanned around the coarse
-    winner — the bound can only improve; [mode] selects the closed-form
-    comparison (it does not change the numeric norm).  [norm], when
-    given, replaces the default [‖M(λ)‖] evaluator
-    ({!Delay_matrix.norm_blockwise} with [options]) — the memoizing
-    analysis context injects its cached evaluator here, so repeated λ
-    sweeps over the same delay digraph reuse norm solves.  Any
-    replacement must compute the same quantity or the certificate is
+(** [certify ?refine ?norm dg ~mode] computes the Theorem 4.1
+    certificate for the delay digraph of a concrete protocol over the
+    19-point λ grid 0.05, 0.10, …, 0.95; with [refine] (default false) a
+    second, finer λ grid is scanned around the coarse winner — the bound
+    can only improve; [mode] selects the closed-form comparison (it does
+    not change the numeric norm).  [norm], when given, replaces the
+    default [‖M(λ)‖] evaluator ({!Delay_matrix.norm_blockwise}) — the
+    memoizing analysis context injects its cached evaluator here, so
+    repeated λ sweeps over the same delay digraph reuse norm solves.
+    Any replacement must compute the same quantity or the certificate is
     unsound. *)
 val certify :
-  ?lambdas:float list ->
   ?refine:bool ->
-  ?options:Gossip_linalg.Spectral.options ->
   ?norm:(Delay_digraph.t -> float -> float) ->
   Delay_digraph.t ->
   mode:Gossip_protocol.Protocol.mode ->
   t
 
-(** [certify_separator ?lambdas ?options dg ~mode ~sep] is the
-    Theorem 5.1 variant: pairs restricted to the separator's [V1 × V2]
-    with their measured BFS distance. *)
+(** [certify_separator dg ~mode ~sep] is the Theorem 5.1 variant:
+    pairs restricted to the separator's [V1 × V2] with their measured BFS
+    distance. *)
 val certify_separator :
-  ?lambdas:float list ->
-  ?refine:bool ->
-  ?options:Gossip_linalg.Spectral.options ->
-  ?norm:(Delay_digraph.t -> float -> float) ->
   Delay_digraph.t ->
   mode:Gossip_protocol.Protocol.mode ->
   sep:Gossip_topology.Separator.t ->
@@ -72,19 +65,9 @@ val impossible_t :
     report. *)
 val to_json : t -> Gossip_util.Json.t
 
-(** [certify_systolic ?lambdas ?refine ?options ?norm ?expand sys] —
-    horizon-free certificate for a systolic protocol: expands the period
-    to growing lengths until the certified bound stabilizes (two
-    consecutive doublings agree), so the caller does not have to guess an
-    expansion length.  The result certifies every expansion at least as
-    long as the analyzed one.  [expand] (default
-    {!Delay_digraph.of_systolic}) builds each rung of the doubling
-    ladder — a memoizing context injects its cached builder here. *)
-val certify_systolic :
-  ?lambdas:float list ->
-  ?refine:bool ->
-  ?options:Gossip_linalg.Spectral.options ->
-  ?norm:(Delay_digraph.t -> float -> float) ->
-  ?expand:(Gossip_protocol.Systolic.t -> length:int -> Delay_digraph.t) ->
-  Gossip_protocol.Systolic.t ->
-  t
+(** [certify_systolic ?refine sys] — horizon-free certificate
+    for a systolic protocol: expands the period to growing lengths until
+    the certified bound stabilizes (two consecutive doublings agree), so
+    the caller does not have to guess an expansion length.  The result
+    certifies every expansion at least as long as the analyzed one. *)
+val certify_systolic : ?refine:bool -> Gossip_protocol.Systolic.t -> t

@@ -40,9 +40,9 @@ let vertex_block dg lambda x =
   check_lambda lambda;
   block_of_pattern ~window:(Delay_digraph.window dg) lambda (round_pattern dg x)
 
-let norm ?options dg lambda =
+let norm dg lambda =
   check_lambda lambda;
-  Spectral.norm2_sparse ?options (sparse dg lambda)
+  Spectral.norm2_sparse (sparse dg lambda)
 
 (* One pattern per class of equal blocks, in order of first vertex. *)
 let distinct_patterns dg =
@@ -60,13 +60,13 @@ let distinct_patterns dg =
   Gossip_util.Instrument.add "delay.blocks.distinct" (Hashtbl.length seen);
   Array.of_list (List.rev !distinct)
 
-let norm_blockwise ?options ?domains dg lambda =
+let norm_blockwise ?domains dg lambda =
   check_lambda lambda;
   Gossip_util.Instrument.span "delay.norm-blockwise" (fun () ->
       let window = Delay_digraph.window dg in
       let patterns = distinct_patterns dg in
       let block_norm k =
-        Spectral.norm2_dense ?options (block_of_pattern ~window lambda patterns.(k))
+        Spectral.norm2_dense (block_of_pattern ~window lambda patterns.(k))
       in
       (* Fused per-worker reduction over the distinct blocks: max is exact,
          so it equals the max over every vertex bit for bit. *)

@@ -23,12 +23,11 @@ val sparse : Delay_digraph.t -> float -> Gossip_linalg.Sparse.t
     [λ^(j-i)] when [1 ≤ j - i < window]. *)
 val vertex_block : Delay_digraph.t -> float -> int -> Gossip_linalg.Dense.t
 
-(** [norm ?options dg lambda] is [‖M(λ)‖] by power iteration on the
-    global sparse matrix. *)
-val norm :
-  ?options:Gossip_linalg.Spectral.options -> Delay_digraph.t -> float -> float
+(** [norm dg lambda] is [‖M(λ)‖] by power iteration on the global
+    sparse matrix. *)
+val norm : Delay_digraph.t -> float -> float
 
-(** [norm_blockwise ?options ?domains dg lambda] is [max_x ‖Mx(λ)‖] —
+(** [norm_blockwise ?domains dg lambda] is [max_x ‖Mx(λ)‖] —
     equal to {!norm} by norm property 8, but cheaper on large networks
     since the blocks are small.
 
@@ -40,12 +39,7 @@ val norm :
     per-vertex max bit for bit.  Each call adds its vertex count to the
     {!Gossip_util.Instrument} counter [delay.blocks] and its pattern
     count to [delay.blocks.distinct]. *)
-val norm_blockwise :
-  ?options:Gossip_linalg.Spectral.options ->
-  ?domains:int ->
-  Delay_digraph.t ->
-  float ->
-  float
+val norm_blockwise : ?domains:int -> Delay_digraph.t -> float -> float
 
 (** [closed_form_bound ~mode ~window lambda] is the paper's closed-form
     upper bound on [‖M(λ)‖]:

@@ -172,3 +172,9 @@ let knoedel_sweep ~delta ~n =
     List.init half (fun j -> (j, half + ((j + (1 lsl k) - 1) mod half)))
   in
   Systolic.make g Protocol.Full_duplex (List.init delta round)
+
+let default_systolic g ~full_duplex =
+  if Digraph.is_symmetric g then
+    if full_duplex then edge_coloring_full_duplex g
+    else edge_coloring_half_duplex g
+  else random_systolic g Protocol.Directed ~period:8 ~seed:1 ~density:1.0

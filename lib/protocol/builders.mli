@@ -68,3 +68,10 @@ val grid_rowcol : rows:int -> cols:int -> Systolic.t
     [W_{Δ,n}]: full-duplex round [k] exchanges along all edges of offset
     [2^k - 1] simultaneously (a perfect matching); period [Δ]. *)
 val knoedel_sweep : delta:int -> n:int -> Systolic.t
+
+(** [default_systolic g ~full_duplex] — the protocol the command line
+    and the server run on a named network: {!edge_coloring_full_duplex}
+    or {!edge_coloring_half_duplex} on a symmetric [g], otherwise
+    [random_systolic g Directed ~period:8 ~seed:1 ~density:1.0]. *)
+val default_systolic :
+  Gossip_topology.Digraph.t -> full_duplex:bool -> Systolic.t

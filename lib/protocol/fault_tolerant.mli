@@ -45,10 +45,6 @@ type report = {
   added_calls : int;  (** [calls - base_calls] *)
 }
 
-(** [calls_per_period t] is the number of arc activations in one period
-    of [t] — O(n · period). *)
-val calls_per_period : Schedule.t -> int
-
 (** [concat a b] runs one period of [a] then one period of [b], forever
     ([period = period a + period b], mode and name taken from [a]).
     Both inputs must be plain periodic schedules on the same vertex

@@ -47,6 +47,8 @@ let set_cluster_handler d h = d.cluster <- Some h
 
 (* --- network construction with a size gate --- *)
 
+let ( let* ) = Result.bind
+
 (* Vertex-count cap: the server exists for small cacheable queries, and
    the worst request (simulate) walks the full protocol expansion.  The
    estimate must run BEFORE the family constructor — building
@@ -77,41 +79,13 @@ let build_network (net : Wire.net) =
       (Printf.sprintf "network too large to serve (over %d vertices)"
          max_vertices)
   else
-    let { Wire.family; dim; degree = d } = net in
-    let module F = Gossip_topology.Families in
-    match
-      match family with
-      | "path" -> F.path dim
-      | "cycle" -> F.cycle dim
-      | "complete" -> F.complete dim
-      | "hypercube" -> F.hypercube dim
-      | "grid" -> F.grid dim dim
-      | "torus" -> F.torus dim dim
-      | "tree" -> F.complete_dary_tree (max 2 d) dim
-      | "bf" -> F.butterfly d dim
-      | "dwbf" -> F.wrapped_butterfly_directed d dim
-      | "wbf" -> F.wrapped_butterfly d dim
-      | "ddb" -> F.de_bruijn_directed d dim
-      | "db" -> F.de_bruijn d dim
-      | "dk" -> F.kautz_directed d dim
-      | "k" -> F.kautz d dim
-      | other -> failwith (Printf.sprintf "unknown family %S" other)
-    with
-    | g ->
-        if Topology.Digraph.n_vertices g > max_vertices then
-          Error
-            (Printf.sprintf "network too large to serve (%d > %d vertices)"
-               (Topology.Digraph.n_vertices g) max_vertices)
-        else Ok g
-    | exception (Failure msg | Invalid_argument msg) -> Error msg
-
-let default_systolic g full_duplex =
-  if Topology.Digraph.is_symmetric g then
-    if full_duplex then Protocol.Builders.edge_coloring_full_duplex g
-    else Protocol.Builders.edge_coloring_half_duplex g
-  else
-    Protocol.Builders.random_systolic g Protocol.Protocol.Directed ~period:8
-      ~seed:1 ~density:1.0
+    let { Wire.family; dim; degree } = net in
+    let* g = Topology.Families.of_family ~family ~dim ~degree in
+    if Topology.Digraph.n_vertices g > max_vertices then
+      Error
+        (Printf.sprintf "network too large to serve (%d > %d vertices)"
+           (Topology.Digraph.n_vertices g) max_vertices)
+    else Ok g
 
 let network_mode g ~full_duplex =
   if not (Topology.Digraph.is_symmetric g) then Protocol.Protocol.Directed
@@ -119,8 +93,6 @@ let network_mode g ~full_duplex =
   else Protocol.Protocol.Half_duplex
 
 (* --- per-operation evaluation --- *)
-
-let ( let* ) = Result.bind
 
 let tables_key s_max ss =
   Printf.sprintf "s_max=%d;ss=%s" s_max
@@ -182,7 +154,7 @@ let eval_bound d ~net ~s ~full_duplex =
 
 let eval_simulate d ~net ~full_duplex =
   let* g = build_network net in
-  let sys = default_systolic g full_duplex in
+  let sys = Protocol.Builders.default_systolic g ~full_duplex in
   let r = Analysis.certify_protocol ~ctx:d.ctx sys in
   let run = Simulate.Engine.gossip_run sys in
   Ok (Analysis.protocol_report_to_json ~coverage:run.Simulate.Engine.curve r)
@@ -234,7 +206,7 @@ let eval_certify d ~spec ~refine =
             Error (Printf.sprintf "unparsable protocol: %s" msg))
     | Wire.Built { net; full_duplex } ->
         let* g = build_network net in
-        Ok (default_systolic g full_duplex)
+        Ok (Protocol.Builders.default_systolic g ~full_duplex)
   in
   let report = Analysis.certify_protocol ~ctx:d.ctx sys in
   let refined =

@@ -82,12 +82,6 @@ type request = {
 
 let ( let* ) = Result.bind
 
-let known_families =
-  [
-    "path"; "cycle"; "complete"; "hypercube"; "grid"; "torus"; "tree"; "bf";
-    "dwbf"; "wbf"; "ddb"; "db"; "dk"; "k";
-  ]
-
 let field params key = Json.member key params
 
 let int_field ?default params key ~min ~max =
@@ -119,7 +113,9 @@ let string_field params key =
 let parse_net params =
   let* family =
     match field params "family" with
-    | Some (Json.Str s) when List.mem s known_families -> Ok s
+    | Some (Json.Str s)
+      when List.mem s Gossip_topology.Families.known_families ->
+        Ok s
     | Some (Json.Str s) -> Error (Printf.sprintf "unknown family %S" s)
     | Some _ -> Error "parameter \"family\" must be a string"
     | None -> Error "missing parameter \"family\""

@@ -62,20 +62,50 @@ let coverage st =
 
 let complete st = st.known = st.n * st.items
 
+(* The one merge rule, on the word rows of vertices [v] and [x] at
+   [dv = v * words] and [dx = x * words]; each returns the number of
+   newly-set bits, counted by the one constant-time [Bitset.popcount].
+   [exchange] is a full-duplex pair: both rows get old(v) | old(x),
+   identical to the start-of-round snapshot semantics, so the pair's
+   lower endpoint owns the write.  [absorb] is a one-directional arc
+   x -> v: x is not written in a round it sends in, so v |= x in place
+   is race-free. *)
+let[@inline] exchange state words dv dx =
+  let delta = ref 0 in
+  for w = 0 to words - 1 do
+    let a = state.(dv + w) and b = state.(dx + w) in
+    let u = a lor b in
+    if u <> a then begin
+      delta := !delta + Bitset.popcount (u land lnot a);
+      state.(dv + w) <- u
+    end;
+    if u <> b then begin
+      delta := !delta + Bitset.popcount (u land lnot b);
+      state.(dx + w) <- u
+    end
+  done;
+  !delta
+
+let[@inline] absorb state words dv dx =
+  let delta = ref 0 in
+  for w = 0 to words - 1 do
+    let a = state.(dv + w) in
+    let u = a lor state.(dx + w) in
+    if u <> a then begin
+      delta := !delta + Bitset.popcount (u land lnot a);
+      state.(dv + w) <- u
+    end
+  done;
+  !delta
+
 (* One vertex block of one round, in place.  [sender] is the round's
    receiver -> sender function, staged once per block by [Schedule.sender]
    so the round's own work (its index within the period, pairing, phase,
    table) is not redone per vertex.  A round is a matching, so a sender
-   is never also a receiver except through a full-duplex exchange:
-   - exchange (sender v = x and sender x = v): owned by the lower
-     endpoint, which writes the shared union to both sides — identical to
-     the start-of-round snapshot semantics, since both ends get
-     old(v) | old(x);
-   - one-directional arc x -> v: x is not written this round, so
-     v |= x in place is race-free.
-   Returns the number of newly-set bits, counted by the one constant-time
-   [Bitset.popcount] that all three arms share; the cross-block sum is an
-   exact integer, so results are identical for any worker count. *)
+   is never also a receiver except through a full-duplex exchange
+   ([sender v = x] and [sender x = v]).  The cross-block sum of newly-set
+   bits is an exact integer, so results are identical for any worker
+   count. *)
 let block_delta st sender lo hi =
   let words = st.words and state = st.state in
   let delta = ref 0 in
@@ -83,45 +113,18 @@ let block_delta st sender lo hi =
     let x = sender v in
     if x >= 0 && x < st.n && x <> v then
       if sender x = v then begin
-        if v < x then begin
-          let dv = v * words and dx = x * words in
-          for w = 0 to words - 1 do
-            let a = state.(dv + w) and b = state.(dx + w) in
-            let u = a lor b in
-            if u <> a then begin
-              delta := !delta + Bitset.popcount (u land lnot a);
-              state.(dv + w) <- u
-            end;
-            if u <> b then begin
-              delta := !delta + Bitset.popcount (u land lnot b);
-              state.(dx + w) <- u
-            end
-          done
-        end
+        if v < x then
+          delta := !delta + exchange state words (v * words) (x * words)
       end
-      else begin
-        let dv = v * words and dx = x * words in
-        for w = 0 to words - 1 do
-          let a = state.(dv + w) in
-          let u = a lor state.(dx + w) in
-          if u <> a then begin
-            delta := !delta + Bitset.popcount (u land lnot a);
-            state.(dv + w) <- u
-          end
-        done
-      end
+      else delta := !delta + absorb state words (v * words) (x * words)
   done;
   !delta
 
 (* The sender-table arm, for tabled schedules ({!Schedule.tables}): [snd]
    is the round's receiver-indexed sender table, and the merge is
    [block_delta]'s rule read from it — [x = snd.(v)], an exchange exactly
-   when [snd.(x) = v], owned by the lower endpoint, under the same
-   [0 <= x < n] guard — so results are identical to the sender path's,
-   with no closure call per vertex.  The word loops repeat
-   [block_delta]'s rather than share a helper: a call per merge would
-   slow this arm, whose thousands of tiny runs in the fault certifier
-   pay per-round overhead in full. *)
+   when [snd.(x) = v], under the same [0 <= x < n] guard — so results
+   are identical to the sender path's, with no closure call per vertex. *)
 let tabled_block_delta st snd lo hi =
   let words = st.words and state = st.state and n = st.n in
   let delta = ref 0 in
@@ -129,46 +132,20 @@ let tabled_block_delta st snd lo hi =
     let x = snd.(v) in
     if x >= 0 && x < n && x <> v then
       if snd.(x) = v then begin
-        if v < x then begin
-          let dv = v * words and dx = x * words in
-          for w = 0 to words - 1 do
-            let a = state.(dv + w) and b = state.(dx + w) in
-            let u = a lor b in
-            if u <> a then begin
-              delta := !delta + Bitset.popcount (u land lnot a);
-              state.(dv + w) <- u
-            end;
-            if u <> b then begin
-              delta := !delta + Bitset.popcount (u land lnot b);
-              state.(dx + w) <- u
-            end
-          done
-        end
+        if v < x then
+          delta := !delta + exchange state words (v * words) (x * words)
       end
-      else begin
-        let dv = v * words and dx = x * words in
-        for w = 0 to words - 1 do
-          let a = state.(dv + w) in
-          let u = a lor state.(dx + w) in
-          if u <> a then begin
-            delta := !delta + Bitset.popcount (u land lnot a);
-            state.(dv + w) <- u
-          end
-        done
-      end
+      else delta := !delta + absorb state words (v * words) (x * words)
   done;
   !delta
 
 (* The candidate-table arm, for schedules with a {!Schedule.nomination}:
    [st.cand] holds every vertex's nominee in one pairing, so
    [x = cand.(v)] is v's partner exactly when [cand.(x) = v].
-   [phase < 0] is a full-duplex round: the pair exchanges and the lower
-   endpoint owns the write, as in [block_delta].  Otherwise it is a
-   half-duplex round, as [of_pairing] splits it: the lower endpoint
-   sends when [phase = 0] and the higher one when [phase = 1].  The
-   receiver's block writes the receiver only, and a sender is not
-   written in its round, so [v |= x] is race-free.  The word loops
-   repeat [block_delta]'s, as in [tabled_block_delta]. *)
+   [phase < 0] is a full-duplex round: the pair exchanges.  Otherwise it
+   is a half-duplex round, as [of_pairing] splits it: the lower endpoint
+   sends when [phase = 0] and the higher one when [phase = 1], and the
+   receiver absorbs. *)
 let nominated_block_delta st phase lo hi =
   let words = st.words and state = st.state and cand = st.cand in
   let delta = ref 0 in
@@ -176,33 +153,11 @@ let nominated_block_delta st phase lo hi =
     let x = cand.(v) in
     if x >= 0 then
       if phase < 0 then begin
-        if v < x && cand.(x) = v then begin
-          let dv = v * words and dx = x * words in
-          for w = 0 to words - 1 do
-            let a = state.(dv + w) and b = state.(dx + w) in
-            let u = a lor b in
-            if u <> a then begin
-              delta := !delta + Bitset.popcount (u land lnot a);
-              state.(dv + w) <- u
-            end;
-            if u <> b then begin
-              delta := !delta + Bitset.popcount (u land lnot b);
-              state.(dx + w) <- u
-            end
-          done
-        end
+        if v < x && cand.(x) = v then
+          delta := !delta + exchange state words (v * words) (x * words)
       end
-      else if (if phase = 0 then x < v else x > v) && cand.(x) = v then begin
-        let dv = v * words and dx = x * words in
-        for w = 0 to words - 1 do
-          let a = state.(dv + w) in
-          let u = a lor state.(dx + w) in
-          if u <> a then begin
-            delta := !delta + Bitset.popcount (u land lnot a);
-            state.(dv + w) <- u
-          end
-        done
-      end
+      else if (if phase = 0 then x < v else x > v) && cand.(x) = v then
+        delta := !delta + absorb state words (v * words) (x * words)
   done;
   !delta
 

@@ -11,8 +11,8 @@
 
     With [items = n] a run is exact gossip under the whispering rule of
     Section 3 (the tests pin it bit for bit against a literal
-    copy-then-union reference); {!Engine} and {!Stats} run materialized
-    protocols this way, through {!Gossip_protocol.Schedule.of_systolic}.
+    copy-then-union reference); {!Engine} runs materialized protocols
+    this way, through {!Gossip_protocol.Schedule.of_systolic}.
     With [items = 1] a run is a broadcast of item 0; small [items]
     (e.g. 64) is the scaling configuration.  Rounds are applied in
     place: a matching's only same-round feedback is a full-duplex
@@ -27,7 +27,7 @@
     {!Gossip_protocol.Schedule.tabulate},
     {!Gossip_protocol.Schedule.without_arcs}) merges from its period's
     receiver-indexed sender table for the round, with no closure call
-    per vertex; this is how {!Engine}, {!Stats} and {!Certifier} run.
+    per vertex; this is how {!Engine} and {!Certifier} run.
     A schedule with a {!Gossip_protocol.Schedule.nomination} (a
     {!Gossip_protocol.Schedule.proposal}) runs on a candidate table: the
     state keeps one n-word buffer of every vertex's nominee, refilled

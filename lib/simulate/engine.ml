@@ -81,10 +81,30 @@ let gossip_run ?cap p =
   in
   { time; curve = Array.of_list (List.rev !curve) }
 
-let per_round_coverage p ~rounds =
-  let curve = Array.make rounds 0.0 in
-  ignore
-    (drive
-       ~probe:(fun ~round ~coverage -> curve.(round - 1) <- coverage)
-       ~cap:rounds ~done_:(fun _ -> false) p);
-  curve
+type message_costs = { transmissions : int; useful : int; rounds : int }
+
+let message_complexity ?horizon p =
+  let n = Gossip_topology.Digraph.n_vertices (Systolic.graph p) in
+  let horizon = match horizon with Some h -> h | None -> default_cap p in
+  let sched = Schedule.of_systolic p in
+  let st = Chunked.create n in
+  (* an activation is useful when, at the start of its round, the sender
+     knows an item the receiver does not *)
+  let teaches (x, y) =
+    let rec go i =
+      i < n && ((Chunked.knows st x i && not (Chunked.knows st y i)) || go (i + 1))
+    in
+    go 0
+  in
+  let transmissions = ref 0 and useful = ref 0 in
+  let rounds = ref 0 in
+  while !rounds < horizon && not (Chunked.complete st) do
+    List.iter
+      (fun arc ->
+        incr transmissions;
+        if teaches arc then incr useful)
+      (Systolic.period_round p !rounds);
+    Chunked.apply_round ~domains:1 st sched !rounds;
+    incr rounds
+  done;
+  { transmissions = !transmissions; useful = !useful; rounds = !rounds }

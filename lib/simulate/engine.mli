@@ -65,7 +65,21 @@ type run = { time : int option; curve : float array }
     Backs [gossip_lab simulate --json]. *)
 val gossip_run : ?cap:int -> Gossip_protocol.Systolic.t -> run
 
-(** [per_round_coverage p ~rounds] runs [rounds] rounds of the systolic
-    protocol and returns the coverage fraction after each round — the
-    dissemination curve used by the examples. *)
-val per_round_coverage : Gossip_protocol.Systolic.t -> rounds:int -> float array
+(** Message complexity of one run: how many transmissions the protocol
+    spent, and how many were wasted (carried no new item to the
+    receiver).  Systolic protocols are oblivious, so they keep
+    transmitting after saturation — the waste quantifies the overhead of
+    obliviousness. *)
+type message_costs = {
+  transmissions : int;  (** arc activations executed *)
+  useful : int;
+      (** activations whose sender knew, at the start of the round, an
+          item the receiver did not *)
+  rounds : int;  (** rounds executed (to completion or the horizon) *)
+}
+
+(** [message_complexity ?horizon p] runs the systolic protocol until
+    gossip completes (or the horizon, default [8·s·n + 64]) and accounts
+    transmissions. *)
+val message_complexity :
+  ?horizon:int -> Gossip_protocol.Systolic.t -> message_costs

@@ -133,39 +133,6 @@ let run ?cap p ~model ~seed =
     failed_arcs;
   }
 
-(* --- faults on implicit arc streams ---------------------------------- *)
-
-(* Stateless per-(round, arc) drop decision: an avalanche hash of
-   (seed, round, u, v) against the probability threshold.  Unlike the
-   PRNG deciders above it keeps no per-arc state, so it composes with
-   schedules whose arc stream is never materialized and is safe to
-   evaluate concurrently from worker domains; determinism is per
-   activation, independent of evaluation order. *)
-let iid_drop ~seed ~p =
-  check_probability "drop_probability" p;
-  fun ~round ~u ~v ->
-    let h =
-      seed
-      + (round * 0x9E3779B97F4A7C)
-      + (u * 0xBF58476D1CE4E5)
-      + (v * 0x94D049BB133111)
-    in
-    let h = h lxor (h lsr 23) in
-    let h = h * 0xFF51AFD7ED558C in
-    let h = h lxor (h lsr 29) in
-    let h = h * 0xC4CEB9FE1A85EC in
-    let h = (h lxor (h lsr 26)) land max_int in
-    float_of_int h /. float_of_int max_int < p
-
-let implicit_gossip ?domains ?cap ?checkpoint_every ?items sched
-    ~drop_probability ~seed =
-  let sched =
-    if drop_probability = 0.0 then sched
-    else Schedule.with_drops sched ~drop:(iid_drop ~seed ~p:drop_probability)
-  in
-  let st = Chunked.create ?items (Schedule.n_vertices sched) in
-  (st, Chunked.run ?domains ?cap ?checkpoint_every st sched)
-
 type curve_point = {
   cp_model : model;
   cp_mean : float option;

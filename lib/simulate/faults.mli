@@ -42,9 +42,6 @@ type model =
   | Bursty of { p_fail : float; p_recover : float }
       (** per-arc on/off process; drops while "off" *)
 
-(** The wire name of a model: ["iid"], ["permanent"], ["bursty"]. *)
-val model_name : model -> string
-
 (** [run ?cap p ~model ~seed] — one faulted run.  [cap] defaults to
     [16 · period · n + 64] rounds, after which [completed_at = None].
     The model decides every activation once, in round order, from
@@ -58,31 +55,6 @@ val model_name : model -> string
     [Permanent] [k] exceeding the period's distinct arc count. *)
 val run :
   ?cap:int -> Gossip_protocol.Systolic.t -> model:model -> seed:int -> outcome
-
-(** [iid_drop ~seed ~p] is a stateless i.i.d. drop predicate for
-    {!Gossip_protocol.Schedule.with_drops}: activation [(u, v)] at
-    (absolute) [round] is dropped with probability [p], decided by a
-    deterministic hash of [(seed, round, u, v)].  No per-arc state, so
-    it works on arc streams that are never materialized and is safe to
-    evaluate from any worker domain.  The permanent and bursty models
-    remain materialized-only — they need the period's arc set, or
-    per-arc chains.
-    @raise Invalid_argument unless [0 ≤ p ≤ 1]. *)
-val iid_drop : seed:int -> p:float -> round:int -> u:int -> v:int -> bool
-
-(** [implicit_gossip ?domains ?cap ?checkpoint_every ?items sched
-    ~drop_probability ~seed] runs the chunked engine over [sched] with
-    i.i.d. drops (the [p = 0] run is exactly the fault-free schedule)
-    and returns the final state with the outcome. *)
-val implicit_gossip :
-  ?domains:int ->
-  ?cap:int ->
-  ?checkpoint_every:int ->
-  ?items:int ->
-  Gossip_protocol.Schedule.t ->
-  drop_probability:float ->
-  seed:int ->
-  Chunked.state * Chunked.outcome
 
 (** One fault model on a curve.  The mean is taken over the
     {e completing} trials only, so it is meaningless without

@@ -267,3 +267,32 @@ let kautz d dim =
   Digraph.rename
     (Digraph.symmetric_closure (kautz_directed d dim))
     (Printf.sprintf "K(%d,%d)" d dim)
+
+(* --- family resolution by name ------------------------------------------ *)
+
+let known_families =
+  [
+    "path"; "cycle"; "complete"; "hypercube"; "grid"; "torus"; "tree"; "bf";
+    "dwbf"; "wbf"; "ddb"; "db"; "dk"; "k";
+  ]
+
+let of_family ~family ~dim ~degree:d =
+  let build () =
+    match family with
+    | "path" -> path dim
+    | "cycle" -> cycle dim
+    | "complete" -> complete dim
+    | "hypercube" -> hypercube dim
+    | "grid" -> grid dim dim
+    | "torus" -> torus dim dim
+    | "tree" -> complete_dary_tree (max 2 d) dim
+    | "bf" -> butterfly d dim
+    | "dwbf" -> wrapped_butterfly_directed d dim
+    | "wbf" -> wrapped_butterfly d dim
+    | "ddb" -> de_bruijn_directed d dim
+    | "db" -> de_bruijn d dim
+    | "dk" -> kautz_directed d dim
+    | "k" -> kautz d dim
+    | other -> invalid_arg (Printf.sprintf "unknown family %S" other)
+  in
+  match build () with g -> Ok g | exception Invalid_argument msg -> Error msg

@@ -98,3 +98,17 @@ val kautz_vertex_of_string : d:int -> int array -> int
 
 (** [kautz_string_of_vertex ~d ~dim v] decodes a Kautz vertex index. *)
 val kautz_string_of_vertex : d:int -> dim:int -> int -> int array
+
+(** {1 Family resolution} *)
+
+(** Accepted [~family] names for {!of_family}. *)
+val known_families : string list
+
+(** [of_family ~family ~dim ~degree] builds a network by name: ["grid"]
+    and ["torus"] are [dim × dim], ["tree"] is the [max 2 degree]-ary
+    tree of depth [dim], the string families ["bf"], ["dwbf"], ["wbf"],
+    ["ddb"], ["db"], ["dk"], ["k"] take [(d, D) = (degree, dim)], and
+    the rest take [dim] alone.  An unknown name, or a size the generator
+    rejects, is an [Error] with the message. *)
+val of_family :
+  family:string -> dim:int -> degree:int -> (Digraph.t, string) result

@@ -8,7 +8,6 @@ module Analysis = Core.Analysis
 module Families = Gossip_topology.Families
 module Digraph = Gossip_topology.Digraph
 module Metrics = Gossip_topology.Metrics
-module Separator = Gossip_topology.Separator
 module Protocol = Gossip_protocol.Protocol
 module Systolic = Gossip_protocol.Systolic
 module Builders = Gossip_protocol.Builders
@@ -18,7 +17,6 @@ module Delay_matrix = Gossip_delay.Delay_matrix
 module Certificate = Gossip_delay.Certificate
 module General = Gossip_bounds.General
 module Oracle = Gossip_bounds.Oracle
-module Dense = Gossip_linalg.Dense
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -107,26 +105,22 @@ let test_certify_matches_plain () =
   check "refine reused cached norm solves" true
     ((Context.stats ctx).Context.hits > 0)
 
-let test_certify_systolic_matches_plain () =
-  let sys = tiny_sys () in
-  let ctx = Context.create () in
-  let plain = Certificate.certify_systolic sys in
-  let cold = Context.certify_systolic ctx sys in
-  check "certify_systolic identical with context" true (plain = cold);
-  Context.reset_stats ctx;
-  let warm = Context.certify_systolic ctx sys in
-  check "warm certify_systolic identical" true (cold = warm);
-  let s = Context.stats ctx in
-  check "warm run is all hits" true (s.Context.hits > 0 && s.Context.misses = 0)
-
+(* Analysis always runs through a context (a fresh one by default); its
+   reports must be exactly what the uncached steps compute. *)
 let test_analysis_reports_identical () =
   let g = Families.hypercube 3 in
   let ctx = Context.create () in
-  check "network report identical" true
-    (Analysis.analyze_network g = Analysis.analyze_network ~ctx g);
+  let network = Analysis.analyze_network ~ctx g in
+  check "network report identical" true (network = Analysis.analyze_network g);
+  check_int "uncached diameter" (Metrics.diameter g) network.Analysis.diameter;
   let sys = tiny_sys () in
-  check "protocol report identical" true
-    (Analysis.certify_protocol sys = Analysis.certify_protocol ~ctx sys)
+  let r = Analysis.certify_protocol ~ctx sys in
+  check "protocol report identical" true (r = Analysis.certify_protocol sys);
+  let t = Engine.gossip_time sys in
+  let dg = Delay_digraph.of_systolic sys ~length:(Option.get t) in
+  check "uncached gossip time and certificate" true
+    (r.Analysis.gossip_time = t
+    && r.Analysis.certificate = Certificate.certify dg ~mode:(Systolic.mode sys))
 
 let test_lambda_star_and_gossip_time () =
   let ctx = Context.create () in
@@ -143,27 +137,6 @@ let test_lambda_star_and_gossip_time () =
     (Context.gossip_time ctx sys = Engine.gossip_time sys);
   check "capped gossip_time matches engine" true
     (Context.gossip_time ctx ~cap:3 sys = Engine.gossip_time ~cap:3 sys)
-
-let test_separator_and_vertex_block () =
-  let ctx = Context.create () in
-  let g = Families.hypercube 3 in
-  let sep = Separator.custom ~alpha:1.0 ~ell:1.0 ~v1:[ 0 ] ~v2:[ 7 ] in
-  let m = Context.separator_measure ctx g sep in
-  check "measurement matches direct" true (m = Separator.measure g sep);
-  check "repeated measurement identical" true
-    (m = Context.separator_measure ctx g sep);
-  let dg = Delay_digraph.of_systolic (tiny_sys ()) ~length:8 in
-  let blk = Context.vertex_block ctx dg 0.5 0 in
-  let direct = Delay_matrix.vertex_block dg 0.5 0 in
-  check "block dims match" true
-    (Dense.rows blk = Dense.rows direct && Dense.cols blk = Dense.cols direct);
-  let same = ref true in
-  for i = 0 to Dense.rows blk - 1 do
-    for j = 0 to Dense.cols blk - 1 do
-      if Dense.get blk i j <> Dense.get direct i j then same := false
-    done
-  done;
-  check "block entries match" true !same
 
 let test_lru_eviction () =
   let ctx = Context.create ~capacity:2 () in
@@ -273,11 +246,8 @@ let suite =
     ("oracle identical with/without ctx", `Quick,
       test_oracle_identical_with_and_without_ctx);
     ("certify matches plain", `Quick, test_certify_matches_plain);
-    ("certify_systolic matches plain", `Quick,
-      test_certify_systolic_matches_plain);
     ("analysis reports identical", `Quick, test_analysis_reports_identical);
     ("lambda_star and gossip_time", `Quick, test_lambda_star_and_gossip_time);
-    ("separator and vertex block", `Quick, test_separator_and_vertex_block);
     ("lru eviction", `Quick, test_lru_eviction);
     ("fault certificate cache", `Quick, test_fault_certificate_cache);
     ("create validation", `Quick, test_create_validation);

@@ -1,5 +1,5 @@
-(* Tests for the extension modules: Stats, Broadcast, Oracle,
-   Weighted_diameter, Extra_families, and the tree/grid protocol
+(* Tests for the extension modules: message complexity, Broadcast,
+   Oracle, Weighted_diameter, Extra_families, and the tree/grid protocol
    builders. *)
 
 open Gossip_topology
@@ -96,60 +96,26 @@ let test_grid_rowcol () =
   (* O(rows+cols) shape: well under the n-ish coloring time *)
   check "grid protocol is fast" true (t <= 4 * (4 + 6))
 
-(* --- stats --- *)
-
-let test_arrival_times () =
-  let sys = Builders.path_wave 5 in
-  let a = Stats.arrival_times sys ~horizon:60 in
-  check_int "own item at time 0" 0 a.(2).(2);
-  check "end-to-end arrival >= distance" true (a.(0).(4) >= 4);
-  check "monotone along the path" true (a.(0).(2) <= a.(0).(4));
-  (* everything arrives *)
-  check "all finite" true
-    (Array.for_all (fun row -> Array.for_all (fun x -> x < max_int) row) a)
-
-let test_summarize () =
-  let sys = Builders.hypercube_sweep ~dim:3 ~full_duplex:true in
-  let s = Stats.summarize sys in
-  check "gossip time 3" true (s.Stats.gossip_time = Some 3);
-  check_int "max arrival = gossip time" 3 s.Stats.max_arrival;
-  check "mean <= max" true (s.Stats.mean_arrival <= 3.0);
-  check_int "broadcast entries" 8 (Array.length s.Stats.broadcast_times);
-  check "broadcasts <= gossip" true
-    (Array.for_all (fun b -> b <= 3) s.Stats.broadcast_times)
-
-let test_summarize_incomplete () =
-  let g = Families.path 4 in
-  let sys = Systolic.make g Protocol.Half_duplex [ [ (0, 1) ] ] in
-  let s = Stats.summarize ~horizon:20 sys in
-  check "incomplete" true (s.Stats.gossip_time = None)
-
-let test_newly_informed () =
-  let sys = Builders.cycle_rotate 8 in
-  let deltas = Stats.newly_informed sys ~horizon:20 in
-  let total = Array.fold_left ( + ) 0 deltas in
-  (* integral = n² - n exactly when gossip completes within the horizon *)
-  check_int "total learned pairs" (8 * 7) total;
-  check "deltas non-negative" true (Array.for_all (fun d -> d >= 0) deltas)
+(* --- message complexity --- *)
 
 let test_message_complexity () =
   (* hypercube sweep: every transmission is useful, total = rounds·n/2 *)
   let sys = Builders.hypercube_sweep ~dim:4 ~full_duplex:false in
-  let c = Stats.message_complexity sys in
-  check_int "rounds" 8 c.Stats.rounds;
-  check_int "transmissions" (8 * 8) c.Stats.transmissions;
-  check_int "all useful on the sweep" c.Stats.transmissions c.Stats.useful;
+  let c = Engine.message_complexity sys in
+  check_int "rounds" 8 c.Engine.rounds;
+  check_int "transmissions" (8 * 8) c.Engine.transmissions;
+  check_int "all useful on the sweep" c.Engine.transmissions c.Engine.useful;
   (* periodic protocols waste some *)
   let c2 =
-    Stats.message_complexity
+    Engine.message_complexity
       (Builders.edge_coloring_half_duplex (Families.de_bruijn 2 4))
   in
-  check "useful <= transmissions" true (c2.Stats.useful <= c2.Stats.transmissions);
+  check "useful <= transmissions" true (c2.Engine.useful <= c2.Engine.transmissions);
   (* each useful transmission adds at least one (vertex, item) pair, so
      there are at most n(n-1) of them; and dissemination needs at least
      n - 1 useful receptions for the last item alone *)
-  check "useful <= n(n-1)" true (c2.Stats.useful <= 16 * 15);
-  check "useful >= n-1" true (c2.Stats.useful >= 15)
+  check "useful <= n(n-1)" true (c2.Engine.useful <= 16 * 15);
+  check "useful >= n-1" true (c2.Engine.useful >= 15)
 
 (* Lemma 4.3 tightness: at lambda_star(s) the balanced one-block pattern
    attains the closed form, and unbalanced patterns stay strictly
@@ -346,10 +312,6 @@ let suite =
     ("grid rowcol builder", `Quick, test_grid_rowcol);
     ("message complexity", `Quick, test_message_complexity);
     ("balanced pattern extremal", `Quick, test_balanced_pattern_is_extremal);
-    ("arrival times", `Quick, test_arrival_times);
-    ("summarize", `Quick, test_summarize);
-    ("summarize incomplete", `Quick, test_summarize_incomplete);
-    ("newly informed", `Quick, test_newly_informed);
     ("broadcast constants", `Quick, test_broadcast_constants);
     ("broadcast lower bound", `Quick, test_broadcast_lower_bound);
     ("broadcast bound sound", `Quick, test_broadcast_bound_sound);

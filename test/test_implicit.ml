@@ -258,46 +258,33 @@ let test_checkpoint_streaming_cadence () =
   ignore no_cp.Chunked.time;
   check "checkpointing off by default" true (no_cp.Chunked.checkpoints = [])
 
-(* --- faults on implicit arc streams --- *)
+(* --- drops on implicit arc streams --- *)
 
-let test_implicit_faults_p0_baseline () =
-  let sched = Schedule.hypercube_sweep ~dim:4 ~full_duplex:false in
-  let _, base = chunked_run sched in
-  let _, o =
-    Faults.implicit_gossip ~domains:1 sched ~drop_probability:0.0 ~seed:5
-  in
-  check_int "p=0 is the fault-free run" (get base.Chunked.time)
-    (get o.Chunked.time)
-
-let test_implicit_faults_p1_stalls () =
+let test_drops_p1_stalls () =
   let sched = Schedule.hypercube_sweep ~dim:3 ~full_duplex:false in
-  let st, o =
-    Faults.implicit_gossip ~domains:1 ~cap:50 sched ~drop_probability:1.0
-      ~seed:5
+  let st = Chunked.create 8 in
+  let o =
+    Chunked.run ~domains:1 ~cap:50 st
+      (Schedule.with_drops sched ~drop:(fun ~round:_ ~u:_ ~v:_ -> true))
   in
   check "p=1 never completes" true (o.Chunked.time = None);
   check_int "p=1 learns nothing" 8 (Chunked.items_known st)
 
-let test_implicit_faults_deterministic () =
+let test_drops_never_speed_up () =
   let sched = Schedule.hypercube_sweep ~dim:4 ~full_duplex:true in
-  let run () =
-    let _, o =
-      Faults.implicit_gossip ~domains:1 ~cap:500 sched ~drop_probability:0.3
-        ~seed:42
-    in
-    (o.Chunked.time, o.Chunked.rounds_run)
-  in
-  check "same seed, same run" true (run () = run ());
-  let _, slower =
-    Faults.implicit_gossip ~domains:1 ~cap:500 sched ~drop_probability:0.3
-      ~seed:42
-  in
   let _, fault_free = chunked_run sched in
-  check "drops never speed gossip up" true
-    (match (slower.Chunked.time, fault_free.Chunked.time) with
-    | Some s, Some f -> s >= f
-    | None, Some _ -> true
-    | _ -> false)
+  for salt = 0 to 4 do
+    (* about a third of the activations, spread over rounds and arcs *)
+    let drop ~round ~u ~v =
+      ((round * 7) + (u * 13) + (v * 29) + salt) mod 3 = 0
+    in
+    let _, slower = chunked_run (Schedule.with_drops sched ~drop) in
+    check "drops never speed gossip up" true
+      (match (slower.Chunked.time, fault_free.Chunked.time) with
+      | Some s, Some f -> s >= f
+      | None, Some _ -> true
+      | _ -> false)
+  done
 
 let test_with_drops_stacking_is_union () =
   (* two stacked predicates suppress exactly the union of their arc
@@ -875,9 +862,8 @@ let suite =
     ("chunked initial state", `Quick, test_chunked_initial_state);
     ("chunked multi-word state", `Quick, test_chunked_multiword_equivalence);
     ("checkpoint cadence", `Quick, test_checkpoint_streaming_cadence);
-    ("implicit faults p=0 baseline", `Quick, test_implicit_faults_p0_baseline);
-    ("implicit faults p=1 stalls", `Quick, test_implicit_faults_p1_stalls);
-    ("implicit faults deterministic", `Quick, test_implicit_faults_deterministic);
+    ("implicit faults p=1 stalls", `Quick, test_drops_p1_stalls);
+    ("drops never speed gossip up", `Quick, test_drops_never_speed_up);
     ("with_drops stacking is union", `Quick, test_with_drops_stacking_is_union);
     ("with_drops keys absolute rounds", `Quick, test_with_drops_absolute_rounds);
     ("of_family rejects a bad period", `Quick, test_of_family_rejects_period);

@@ -143,16 +143,18 @@ let test_broadcast_vs_gossip () =
       Builders.edge_coloring_half_duplex (Families.complete_dary_tree 2 3);
     ]
 
-let test_per_round_coverage_monotone () =
+let test_coverage_monotone () =
   let sys = Builders.edge_coloring_half_duplex (Families.grid 3 3) in
-  let cov = Engine.per_round_coverage sys ~rounds:40 in
+  let run = Engine.gossip_run sys in
+  let cov = run.Engine.curve in
+  check "one point per round" true (run.Engine.time = Some (Array.length cov));
   let ok = ref true in
   for i = 1 to Array.length cov - 1 do
     if cov.(i) < cov.(i - 1) -. 1e-12 then ok := false
   done;
   check "coverage monotone" true !ok;
   check "starts above 1/n" true (cov.(0) >= 1.0 /. 9.0);
-  check "ends complete" true (cov.(39) = 1.0)
+  check "ends complete" true (cov.(Array.length cov - 1) = 1.0)
 
 (* --- Faults --- *)
 
@@ -549,7 +551,7 @@ let suite =
     ("items_known incremental", `Quick, test_items_known_incremental);
     ("gossip cap", `Quick, test_gossip_cap);
     ("broadcast vs gossip vs diameter", `Quick, test_broadcast_vs_gossip);
-    ("coverage monotone", `Quick, test_per_round_coverage_monotone);
+    ("coverage monotone", `Quick, test_coverage_monotone);
     ("faults p=0 baseline", `Quick, test_faults_p0_matches_baseline);
     ("faults p=1 stalls", `Quick, test_faults_p1_never_completes);
     ("faults deterministic", `Quick, test_faults_deterministic);

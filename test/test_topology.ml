@@ -599,6 +599,37 @@ let prop_bfs_triangle =
       let d = Metrics.all_pairs g in
       d.(u).(w) <= d.(u).(v) + d.(v).(w))
 
+(* --- family resolution by name --- *)
+
+let test_of_family_matches_generators () =
+  let shape g = (Digraph.name g, Digraph.n_vertices g, Digraph.arcs g) in
+  (* (dim, degree, direct generator), in [known_families] order *)
+  List.iter2
+    (fun family (dim, degree, g) ->
+      check (family ^ " = its generator") true
+        (Result.map shape (Families.of_family ~family ~dim ~degree)
+        = Ok (shape g)))
+    Families.known_families
+    [
+      (5, 2, Families.path 5); (6, 2, Families.cycle 6);
+      (4, 2, Families.complete 4); (3, 2, Families.hypercube 3);
+      (3, 2, Families.grid 3 3); (3, 2, Families.torus 3 3);
+      (2, 1, Families.complete_dary_tree 2 2); (2, 2, Families.butterfly 2 2);
+      (3, 2, Families.wrapped_butterfly_directed 2 3);
+      (3, 2, Families.wrapped_butterfly 2 3);
+      (3, 3, Families.de_bruijn_directed 3 3); (4, 2, Families.de_bruijn 2 4);
+      (3, 2, Families.kautz_directed 2 3); (2, 3, Families.kautz 3 2);
+    ]
+
+let test_of_family_rejects () =
+  check "unknown name" true
+    (Families.of_family ~family:"moebius" ~dim:3 ~degree:2
+    = Error "unknown family \"moebius\"");
+  check "dimension the generator rejects" true
+    (Result.is_error (Families.of_family ~family:"cycle" ~dim:2 ~degree:2));
+  check "degree the generator rejects" true
+    (Result.is_error (Families.of_family ~family:"db" ~dim:3 ~degree:1))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -657,4 +688,6 @@ let suite =
     q prop_db_linegraph_count;
     q prop_symmetric_closure_idempotent;
     q prop_bfs_triangle;
+    ("of_family = direct generators", `Quick, test_of_family_matches_generators);
+    ("of_family rejects bad input", `Quick, test_of_family_rejects);
   ]
