@@ -215,30 +215,52 @@ let ccc_colored ~dim ~full_duplex =
 (* --- seeded mutual-proposal matchings over any implicit topology ----- *)
 
 (* Deterministic avalanche mix of (seed, round, vertex) — no state, safe
-   to evaluate from any worker domain. *)
-let mix seed r v =
-  let h = seed + (r * 0x9E3779B97F4A7C) + (v * 0xBF58476D1CE4E5) in
+   to evaluate from any worker domain.  [base] is the round's share
+   [seed + r * 0x9E3779B97F4A7C], staged once per pairing; integer
+   addition wraps, so it is associative and splitting the sum there
+   changes no hash. *)
+let[@inline] mix base v =
+  let h = base + (v * 0xBF58476D1CE4E5) in
   let h = h lxor (h lsr 21) in
   let h = h * 0xFF51AFD7ED558C in
   let h = h lxor (h lsr 17) in
   let h = h * 0xC4CEB9FE1A85EC in
   (h lxor (h lsr 26)) land max_int
 
+(* a raw slot value [u] of [v] as a nominee: self- and out-of-range
+   slots idle *)
+let[@inline] nominee n v u = if u = v || u < 0 || u >= n then -1 else u
+
 let proposal imp ~period ~seed ~full_duplex =
   if period < 1 then invalid_arg "Schedule.proposal: period must be >= 1";
   let n = Implicit.n_vertices imp in
   let slots = Implicit.slots imp in
+  (* in range by construction: [v < n], and the hash is non-negative and
+     reduced below [slots] *)
+  let slot = Implicit.unchecked_slot imp in
   (* Every vertex nominates one raw candidate slot per pairing; an
      exchange happens exactly when two nominations are mutual.  Each
      vertex has at most one mutual partner, so the pairing is a matching
-     by construction; self- and out-of-range slots simply idle. *)
-  let candidate t v =
-    let u = Implicit.slot imp v (mix seed t v mod slots) in
-    if u = v || u < 0 || u >= n then -1 else u
+     by construction.  [candidate t] stages pairing [t]: the hash's round
+     share is computed once, and the hash is reduced to a slot by a mask
+     when [slots] is a power of two (every binary de Bruijn and Kautz
+     graph), which picks the same slot as [mod slots] on a non-negative
+     hash. *)
+  let candidate =
+    if slots land (slots - 1) = 0 then
+      let mask = slots - 1 in
+      fun t ->
+        let base = seed + (t * 0x9E3779B97F4A7C) in
+        fun v -> nominee n v (slot v (mix base v land mask))
+    else fun t ->
+      let base = seed + (t * 0x9E3779B97F4A7C) in
+      fun v -> nominee n v (slot v (mix base v mod slots))
   in
-  let pairing t v =
-    let u = candidate t v in
-    if u >= 0 && candidate t u = v then u else -1
+  let pairing t =
+    let candidate = candidate t in
+    fun v ->
+      let u = candidate v in
+      if u >= 0 && candidate u = v then u else -1
   in
   let sched =
     of_pairing

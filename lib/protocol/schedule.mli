@@ -58,7 +58,13 @@ val period : t -> int
     [candidate p u = v], and round [r] runs pairing [r mod pairings]
     (full duplex) or [(r mod 2·pairings) / 2] (half duplex) as
     {!of_pairing} lays it out, so [sender t r v] can be rebuilt from
-    [candidate] alone. *)
+    [candidate] alone.
+    [candidate] is staged like {!sender}: [candidate p] does pairing
+    [p]'s own work (the hash's round share) and returns [v ↦ nominee],
+    so apply [candidate p] once per pairing and the result once per
+    vertex, as the chunked engine does.  A full application
+    [candidate p v] re-stages the pairing, and allocates, on every
+    call. *)
 val nomination : t -> (int * (int -> int -> int)) option
 
 (** [sender t round] is the receiver -> sender function of (absolute)
@@ -206,14 +212,26 @@ val ccc_colored : dim:int -> full_duplex:bool -> t
     with no closed-form edge coloring (de Bruijn, Kautz).  Every vertex
     nominates one pseudorandom candidate slot per pairing; an exchange
     happens exactly when nominations are mutual, so rounds are matchings
-    by construction.  With degree-bounded families a vertex is isolated
-    for a whole default period with probability well under [1e-7], so
-    repeated periods gossip with overwhelming probability; completion is
-    probabilistic, not guaranteed.  The schedule carries its
+    by construction.  Vertex [v]'s slot in pairing [p] is a non-negative
+    63-bit hash of [(seed, p, v)] reduced [mod (Implicit.slots imp)];
+    when the slot count is a power of two (every binary de Bruijn and
+    Kautz graph) the reduction is a mask by [slots - 1], which picks the
+    same slot, and the choice is made once per schedule.  The slot is
+    read through {!Gossip_topology.Implicit.unchecked_slot}, which the
+    construction keeps in range.  A vertex whose neighbors are distinct
+    is matched in a pairing with probability about [1 / slots], so it
+    stays unmatched for a whole period of [s] pairings with probability
+    about [(1 - 1/slots)^s]: about [1e-8] for the 4-slot binary families
+    at the default [s = 64], but about [2e-4] at 8 slots, where DB(4,6)
+    leaves one vertex unmatched in every period and never completes.
+    Completion is probabilistic, not guaranteed.  The schedule carries its
     {!nomination}, so the chunked engine evaluates each vertex's
     nomination once per pairing rather than through {!sender}, which
     evaluates two nominations per call and is called for every vertex
-    and every receiver's sender in every round.
+    and every receiver's sender in every round.  Its pairing stages
+    [candidate p] once per round, so the sender path ({!with_drops},
+    the {!Fault_tolerant} wrappers) pays the pairing's work once per
+    round too.
     @raise Invalid_argument on [period < 1]. *)
 val proposal : Gossip_topology.Implicit.t -> period:int -> seed:int -> full_duplex:bool -> t
 

@@ -10,7 +10,8 @@ module Schedule = Gossip_protocol.Schedule
    items (instead of the full n² gossip state) is what keeps a
    million-vertex simulation in memory proportional to state: items
    defaults to n, exact gossip as {!Engine} runs it, while items = 64
-   at n = 10^6 needs ~8 MB instead of ~125 GB. *)
+   at n = 10^6 takes two 63-bit words per vertex, 16 MB instead of
+   ~125 GB. *)
 
 let bits_per_word = 63
 
@@ -23,8 +24,13 @@ type state = {
   mutable cand : int array;
       (* nominees of one pairing instance; allocated (n words) on the
          first round of a schedule with a nomination *)
+  mutable pairs : int array;
+      (* the lower endpoints of [cand]'s mutual pairs, ascending, in
+         [pairs.(0 .. npairs - 1)]; allocated (⌊n/2⌋ words) with [cand] *)
+  mutable npairs : int;
   mutable cand_key : ((int -> int -> int) * int) option;
-      (* the (candidate, pairing) that [cand] currently holds *)
+      (* the (candidate, pairing) that [cand] and [pairs] currently
+         hold *)
 }
 
 let create ?items n =
@@ -34,7 +40,19 @@ let create ?items n =
   in
   let words = max 1 ((items + bits_per_word - 1) / bits_per_word) in
   let state = Array.make (max 1 (n * words)) 0 in
-  let st = { n; items; words; state; known = 0; cand = [||]; cand_key = None } in
+  let st =
+    {
+      n;
+      items;
+      words;
+      state;
+      known = 0;
+      cand = [||];
+      pairs = [||];
+      npairs = 0;
+      cand_key = None;
+    }
+  in
   (* vertex v starts knowing item v, restricted to the first [items]
      items *)
   for v = 0 to items - 1 do
@@ -140,57 +158,80 @@ let tabled_block_delta st snd lo hi =
   !delta
 
 (* The candidate-table arm, for schedules with a {!Schedule.nomination}:
-   [st.cand] holds every vertex's nominee in one pairing, so
-   [x = cand.(v)] is v's partner exactly when [cand.(x) = v].
-   [phase < 0] is a full-duplex round: the pair exchanges.  Otherwise it
-   is a half-duplex round, as [of_pairing] splits it: the lower endpoint
-   sends when [phase = 0] and the higher one when [phase = 1], and the
-   receiver absorbs. *)
-let nominated_block_delta st phase lo hi =
-  let words = st.words and state = st.state and cand = st.cand in
+   [st.pairs.(lo .. hi - 1)] are lower endpoints [v] of mutual pairs,
+   whose partner is [x = cand.(v) > v].  [phase < 0] is a full-duplex
+   round: the pair exchanges, owned by its lower endpoint as in
+   [block_delta].  Otherwise it is a half-duplex round, as [of_pairing]
+   splits it: the lower endpoint sends when [phase = 0] and the higher
+   one when [phase = 1], and the other end absorbs.  Pairs are disjoint,
+   so any split of the list into ranges is race-free. *)
+let pairs_delta st phase lo hi =
+  let words = st.words and state = st.state in
+  let cand = st.cand and pairs = st.pairs in
   let delta = ref 0 in
-  for v = lo to hi - 1 do
-    let x = cand.(v) in
-    if x >= 0 then
-      if phase < 0 then begin
-        if v < x && cand.(x) = v then
-          delta := !delta + exchange state words (v * words) (x * words)
-      end
-      else if (if phase = 0 then x < v else x > v) && cand.(x) = v then
-        delta := !delta + absorb state words (v * words) (x * words)
+  for i = lo to hi - 1 do
+    let v = pairs.(i) in
+    let dv = v * words and dx = cand.(v) * words in
+    let d =
+      if phase < 0 then exchange state words dv dx
+      else if phase = 0 then absorb state words dx dv
+      else absorb state words dv dx
+    in
+    delta := !delta + d
   done;
   !delta
 
+(* [f lo hi] over a split of [0, len) into blocks, summed: one block at
+   one worker, else a few blocks per worker, which keeps the strided
+   distribution balanced when block costs differ. *)
+let over_blocks workers len f =
+  if workers = 1 then f 0 len
+  else
+    let nblocks = max 1 (min len (workers * 4)) in
+    Parallel.reduce ~domains:workers nblocks
+      (fun b -> f (b * len / nblocks) ((b + 1) * len / nblocks))
+      ( + ) 0
+
 (* Refills [st.cand] only when the pairing instance changes — every
-   round in full duplex, every second round in half duplex — calling
-   [candidate] once per vertex, then merges from the table.  Both passes
-   run over the same vertex blocks; the fill writes only its own block
-   and finishes before any merge reads it. *)
-let nominated_round ?domains st nblocks mode (pairings, candidate) round =
+   round in full duplex, every second round in half duplex — staging
+   [candidate p] once and applying it to every vertex over the vertex
+   blocks, then lists the pairing's mutual pairs in one sequential
+   pass; every round of the pairing merges from that list alone.  The
+   fill writes only its own block and finishes before the pass reads
+   the table. *)
+let nominated_round workers st mode (pairings, candidate) round =
   let full_duplex = mode = Protocol.Full_duplex in
   let r = round mod (if full_duplex then pairings else 2 * pairings) in
   let p = if full_duplex then r else r / 2 in
   (match st.cand_key with
   | Some (c, q) when c == candidate && q = p -> ()
   | _ ->
-      if Array.length st.cand <> st.n then st.cand <- Array.make st.n (-1);
-      (* a fill cut short by an exception must not leave a valid key *)
+      if Array.length st.cand <> st.n then begin
+        st.cand <- Array.make st.n (-1);
+        st.pairs <- Array.make (st.n / 2) 0
+      end;
+      (* a fill or pass cut short by an exception must not leave a
+         valid key *)
       st.cand_key <- None;
+      let nominee = candidate p and cand = st.cand in
       ignore
-        (Parallel.reduce ?domains nblocks
-           (fun b ->
-             for v = b * st.n / nblocks to ((b + 1) * st.n / nblocks) - 1 do
-               st.cand.(v) <- candidate p v
+        (over_blocks workers st.n (fun lo hi ->
+             for v = lo to hi - 1 do
+               cand.(v) <- nominee v
              done;
-             0)
-           ( + ) 0);
+             0));
+      let pairs = st.pairs and np = ref 0 in
+      for v = 0 to st.n - 1 do
+        let x = cand.(v) in
+        if x > v && cand.(x) = v then begin
+          pairs.(!np) <- v;
+          incr np
+        end
+      done;
+      st.npairs <- !np;
       st.cand_key <- Some (candidate, p));
   let phase = if full_duplex then -1 else r mod 2 in
-  Parallel.reduce ?domains nblocks
-    (fun b ->
-      nominated_block_delta st phase (b * st.n / nblocks)
-        ((b + 1) * st.n / nblocks))
-    ( + ) 0
+  over_blocks workers st.npairs (pairs_delta st phase)
 
 let apply_round ?domains st sched round =
   if Schedule.n_vertices sched <> st.n then
@@ -202,31 +243,20 @@ let apply_round ?domains st sched round =
     | Some d -> max 1 d
     | None -> Parallel.recommended_domains ()
   in
-  (* a few blocks per worker keeps the strided distribution balanced
-     when block costs differ *)
-  let nblocks = max 1 (min st.n (workers * 4)) in
   (* three arms: a tabled schedule merges from its period's sender
-     tables, a proposal schedule from its candidate table, and every
-     other schedule stages [Schedule.sender sched round] once per block
-     and applies it per vertex *)
+     tables, a proposal schedule from its candidate table's pair list,
+     and every other schedule stages [Schedule.sender sched round] once
+     per block and applies it per vertex *)
   let delta =
     match (Schedule.tables sched, Schedule.nomination sched) with
     | Some tables, _ ->
         let snd = tables.(round mod Array.length tables) in
-        Parallel.reduce ?domains nblocks
-          (fun b ->
-            tabled_block_delta st snd (b * st.n / nblocks)
-              ((b + 1) * st.n / nblocks))
-          ( + ) 0
+        over_blocks workers st.n (tabled_block_delta st snd)
     | None, Some nomination ->
-        nominated_round ?domains st nblocks (Schedule.mode sched) nomination
-          round
+        nominated_round workers st (Schedule.mode sched) nomination round
     | None, None ->
-        Parallel.reduce ?domains nblocks
-          (fun b ->
-            let lo = b * st.n / nblocks and hi = (b + 1) * st.n / nblocks in
+        over_blocks workers st.n (fun lo hi ->
             block_delta st (Schedule.sender sched round) lo hi)
-          ( + ) 0
   in
   st.known <- st.known + delta
 

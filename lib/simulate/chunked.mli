@@ -31,27 +31,36 @@
     A schedule with a {!Gossip_protocol.Schedule.nomination} (a
     {!Gossip_protocol.Schedule.proposal}) runs on a candidate table: the
     state keeps one n-word buffer of every vertex's nominee, refilled
-    with one [candidate] call per vertex only when the pairing changes
-    (every round in full duplex, every second round in half duplex), and
-    each round merges from it.  Every other schedule — structured
-    colorings, fault-wrapped and {!Gossip_protocol.Fault_tolerant}
-    schedules — runs on the sender path, which stages the round once
+    only when the pairing changes (every round in full duplex, every
+    second round in half duplex) by staging [candidate p] once and
+    applying it to every vertex, and one ⌊n/2⌋-word list of the
+    pairing's mutual pairs by their lower endpoints, built in one pass
+    over the refilled buffer.  Every round of the pairing merges from
+    that list alone: a full-duplex pair exchanges, and in half duplex
+    the lower endpoint sends to the higher one in the pairing's first
+    round and the higher to the lower in its second.  Every other
+    schedule — structured colorings, fault-wrapped and
+    {!Gossip_protocol.Fault_tolerant} schedules — runs on the sender
+    path, which stages the round once
     per vertex block ([Schedule.sender sched round], see
     {!Gossip_protocol.Schedule.sender}) and applies the staged function
     to every vertex and to every receiver's sender.  All three arms
     count newly-set bits with the one constant-time
     {!Gossip_util.Bitset.popcount}.  The schedule selects the arm; all
-    three give the same rounds, coverage and state bits.  Memory is [n·⌈items/63⌉] words of state, plus [n] words once
-    a proposal schedule has run on the state; a tabled schedule brings
-    its own [n·period] words of tables.
+    three give the same rounds, coverage and state bits.  Memory is
+    [n·⌈items/63⌉] words of state, plus [n + ⌊n/2⌋] words once a
+    proposal schedule has run on the state; a tabled schedule brings its
+    own [n·period] words of tables.  At one worker a round is one block
+    over all its vertices (or pairs); with more, it is split into a few
+    blocks per worker.
 
     The sender-table arm applies the sender path's rule to the table's
     entries, so it is race-free for the same reason.  The candidate
     arm is too: the fill writes each block's own entries and completes
-    before any merge reads the table; a merge writes a receiver from
-    its own block, or both ends of an exchange from the lower
-    endpoint's block, and mutual nomination pairs each vertex with at
-    most one partner.  Every pass is a pure function of the state
+    before the pair list is built, which completes before any merge;
+    mutual nomination pairs each vertex with at most one partner, so
+    the pairs are disjoint and every split of the list into blocks
+    writes disjoint rows.  Every pass is a pure function of the state
     before the round and the round's matching, and the newly-set bit
     counts are summed exactly, so the result does not depend on the
     domain count. *)
@@ -86,8 +95,9 @@ val complete : state -> bool
     [round] of [sched] on [st], blockwise over the worker domains
     (default {!Gossip_util.Parallel.recommended_domains}).  A tabled
     schedule merges from [tables.(round mod period)]; a proposal
-    schedule runs on the candidate table, which is refilled when
-    [(sched, pairing of round)] differs from what it holds; every other
+    schedule merges from the candidate table's pair list, which is
+    rebuilt when [(candidate, pairing of round)] differs from what it
+    holds; every other
     schedule runs on the sender path (see the module header).  Rounds
     may come in any order and schedules may be interleaved on one
     state.

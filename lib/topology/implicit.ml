@@ -19,6 +19,8 @@ let slot t v k =
   if k < 0 || k >= t.slots then invalid_arg "Implicit.slot: slot out of range";
   t.slot v k
 
+let unchecked_slot t = t.slot
+
 (* Deduplicated, self-free neighbor fill.  Degrees are tiny (<= slots),
    so the quadratic duplicate scan never allocates and beats sorting. *)
 let fill_neighbors t v buf =

@@ -36,6 +36,15 @@ val slots : t -> int
     @raise Invalid_argument when [v] or [k] is out of range. *)
 val slot : t -> int -> int -> int
 
+(** [unchecked_slot t] is the slot function [t] was made with, for hot
+    loops that call it once per vertex: [unchecked_slot t v k] is
+    [slot t v k] with no range check at all.  It is defined only for
+    [0 <= v < n_vertices t] and [0 <= k < slots t], and its caller keeps
+    its arguments in range by construction, as a proposal schedule
+    ([Schedule.proposal]) does: its [v] is a vertex of [t] and its [k]
+    a non-negative hash reduced below [slots t]. *)
+val unchecked_slot : t -> int -> int -> int
+
 (** [fill_neighbors t v buf] writes the deduplicated, self-free neighbors
     of [v] into [buf] (which must hold at least [slots t] entries) and
     returns their count.  Allocation-free — the chunked engine's hot

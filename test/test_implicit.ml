@@ -847,6 +847,58 @@ let test_complete_before_first_round () =
           (Systolic.make (Families.path 1) Protocol.Half_duplex [ [] ]) );
     ]
 
+(* --- a proposal's nominees, pinned to their definition --- *)
+
+(* The nominee of [v] in pairing [t], written out: the avalanche hash of
+   (seed, t, v), reduced [mod slots] and read through the checked
+   [Implicit.slot]; self- and out-of-range slots idle.  The table path
+   and the sender path both derive their pairing from the schedule's own
+   [candidate], so only a reference like this one pins [candidate]
+   itself. *)
+let reference_nominee imp ~seed t v =
+  let h = seed + (t * 0x9E3779B97F4A7C) + (v * 0xBF58476D1CE4E5) in
+  let h = h lxor (h lsr 21) in
+  let h = h * 0xFF51AFD7ED558C in
+  let h = h lxor (h lsr 17) in
+  let h = h * 0xC4CEB9FE1A85EC in
+  let h = (h lxor (h lsr 26)) land max_int in
+  let u = Implicit.slot imp v (h mod Implicit.slots imp) in
+  if u = v || u < 0 || u >= Implicit.n_vertices imp then -1 else u
+
+let test_proposal_nominees () =
+  List.iter
+    (fun (imp, slots) ->
+      let name = Implicit.name imp and n = Implicit.n_vertices imp in
+      check_int (name ^ " slot count") slots (Implicit.slots imp);
+      List.iter
+        (fun seed ->
+          let sched = Schedule.proposal imp ~period:6 ~seed ~full_duplex:false in
+          let pairings, candidate =
+            match Schedule.nomination sched with
+            | Some c -> c
+            | None -> Alcotest.fail "a proposal carries its nomination"
+          in
+          let staged = ref 0 and full = ref 0 in
+          for t = 0 to pairings - 1 do
+            let nominee = candidate t in
+            for v = 0 to n - 1 do
+              let expected = reference_nominee imp ~seed t v in
+              if nominee v <> expected then incr staged;
+              if candidate t v <> expected then incr full
+            done
+          done;
+          let case = Printf.sprintf "%s seed %d" name seed in
+          check_int (case ^ ": staged nominees off definition") 0 !staged;
+          check_int (case ^ ": full applications off definition") 0 !full)
+        [ 1; 2; 7; 1_000_003; -5 ])
+    [
+      (Implicit.de_bruijn 2 7, 4);
+      (Implicit.de_bruijn 3 5, 6);
+      (Implicit.de_bruijn 4 4, 8);
+      (Implicit.kautz 2 6, 4);
+      (Implicit.kautz 3 4, 6);
+    ]
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -875,4 +927,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_without_arcs_matches_with_drops;
     QCheck_alcotest.to_alcotest prop_staged_sender_matches_reference;
     ("complete before the first round", `Quick, test_complete_before_first_round);
+    ("proposal nominees match their definition", `Quick, test_proposal_nominees);
   ]
