@@ -1491,7 +1491,7 @@ let print_cluster_bench () =
   let shard = Server.create shard_config in
   Server.start shard;
   let membership =
-    Membership.create ~self:"bench-router" ~addr:("unix:" ^ rpath)
+    Membership.create ~self:"bench-router" ~addr:(Server.string_of_listen (Server.Unix_socket rpath))
       ~role:"router" ()
   in
   ignore
@@ -1499,7 +1499,7 @@ let print_cluster_bench () =
        [
          {
            Membership.node = "bench-shard";
-           addr = "unix:" ^ spath;
+           addr = Server.string_of_listen (Server.Unix_socket spath);
            role = "shard";
            version = Version.string;
            incarnation = 1;

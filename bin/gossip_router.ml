@@ -12,172 +12,34 @@ open Gossip_serve
 open Gossip_cluster
 module C = Cmdliner
 
-let run socket tcp_port host node_id advertise join workers queue_capacity
-    max_frame_bytes default_timeout_ms vnodes replicas gossip_interval_ms
-    suspicion_timeout_ms dead_timeout_ms trace trace_out trace_ring
-    trace_sample_rate access_log =
-  (match trace_out with
-  | Some path -> Core.Util.Instrument.set_trace_file (Some path)
-  | None -> ());
-  if trace then Core.Util.Instrument.set_enabled true;
-  Core.Util.Instrument.set_ring_capacity trace_ring;
-  (* every line this process streams names it, so merged fleet traces
-     stay attributable *)
-  Core.Util.Instrument.set_global_attrs
-    [ ("node", Core.Util.Json.Str node_id) ];
-  let listen =
-    if workers < 1 then `Error (true, "--workers: value must be at least 1")
-    else if queue_capacity < 1 then
-      `Error (true, "--queue-capacity: value must be at least 1")
-    else if vnodes < 1 then `Error (true, "--vnodes: value must be at least 1")
-    else if replicas < 1 then
-      `Error (true, "--replicas: value must be at least 1")
-    else if trace_sample_rate < 0.0 || trace_sample_rate > 1.0 then
-      `Error (true, "--trace-sample-rate: value must be in [0,1]")
-    else
-      match (socket, tcp_port) with
-      | Some path, None -> `Ok (Server.Unix_socket path)
-      | None, Some port -> `Ok (Server.Tcp (host, port))
-      | None, None -> `Ok (Server.Unix_socket "gossip_router.sock")
-      | Some _, Some _ -> `Error (true, "--socket and --tcp are exclusive")
-  in
-  match listen with
-  | `Error _ as e -> e
-  | `Ok listen -> (
-      let addr =
-        match advertise with
-        | Some a -> a
-        | None -> Transport.addr_of_listen listen
-      in
-      let membership =
-        Membership.create ~self:node_id ~addr ~role:"router"
-          ~suspicion_timeout_ms ~dead_timeout_ms ~seeds:join ()
-      in
-      let metrics =
-        Metrics.create ~node:node_id ~workers ~queue_capacity ()
-      in
-      let router =
-        Router.create ~membership ~metrics ~vnodes ~replicas
-          ~sample_rate:trace_sample_rate ()
-      in
-      let config =
-        {
-          (Server.default_config ~listen) with
-          Server.workers;
-          queue_capacity;
-          max_frame_bytes;
-          default_timeout_ms;
-          access_log;
-          (* metrics/health/stats/trace_pull must reach Router.evaluate —
-             they aggregate the fleet, not this process *)
-          inline_observability = false;
-          node = Some node_id;
-        }
-      in
-      match
-        Server.create ~metrics ~evaluate:(Router.evaluate router) config
-      with
-      | exception Unix.Unix_error (err, _, arg) ->
-          `Error
-            ( false,
-              Printf.sprintf "cannot listen on %s: %s"
-                (Transport.addr_of_listen listen)
-                (Unix.error_message err ^ if arg = "" then "" else " " ^ arg) )
-      | server ->
-          let stop _ = Server.request_stop server in
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-          Server.start server;
-          let transport =
-            Transport.create ~policy:Transport.gossip_policy ()
-          in
-          let gossiper =
-            Gossiper.start ~membership ~transport
-              ~interval_ms:gossip_interval_ms
-              ~stopping:(fun () -> Server.stop_requested server)
-              ()
-          in
-          Printf.eprintf
-            "gossip_router %s (%s) listening on %s (%d workers, %d vnodes, %d \
-             replicas)\n\
-             %!"
-            Core.Version.string node_id
-            (Transport.addr_of_listen listen)
-            workers vnodes replicas;
-          Server.join server;
-          Gossiper.join gossiper;
-          prerr_endline "gossip_router: drained, bye";
-          `Ok ())
+let run d vnodes replicas trace_sample_rate =
+  if vnodes < 1 then `Error (true, "--vnodes: value must be at least 1")
+  else if replicas < 1 then
+    `Error (true, "--replicas: value must be at least 1")
+  else if trace_sample_rate < 0.0 || trace_sample_rate > 1.0 then
+    `Error (true, "--trace-sample-rate: value must be in [0,1]")
+  else
+    Daemon.run d ~name:"gossip_router" ~role:"router"
+      (* metrics/health/stats/trace_pull must reach Router.evaluate —
+         they aggregate the fleet, not this process *)
+      ~config:(fun c -> { c with Server.inline_observability = false })
+      ~evaluate:(fun membership metrics ->
+        Router.evaluate
+          (Router.create ~membership ~metrics ~vnodes ~replicas
+             ~sample_rate:trace_sample_rate ()))
+      (fun _ ->
+        Printf.eprintf
+          "gossip_router %s (%s) listening on %s (%d workers, %d vnodes, %d \
+           replicas)\n\
+           %!"
+          Core.Version.string
+          (* --node-id defaults to "router" here, so there always is one *)
+          (Option.get d.Daemon.node_id)
+          (Server.string_of_listen d.listen)
+          d.workers vnodes replicas;
+        ignore)
 
 let term =
-  let socket =
-    C.Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Listen on a Unix-domain socket at $(docv) (the default, at \
-                ./gossip_router.sock).")
-  in
-  let tcp =
-    C.Arg.(
-      value
-      & opt (some int) None
-      & info [ "tcp" ] ~docv:"PORT" ~doc:"Listen on TCP port $(docv) instead.")
-  in
-  let host =
-    C.Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address for --tcp.")
-  in
-  let node_id =
-    C.Arg.(
-      value & opt string "router"
-      & info [ "node-id" ] ~docv:"ID"
-          ~doc:"This router's cluster-unique member id.")
-  in
-  let advertise =
-    C.Arg.(
-      value
-      & opt (some string) None
-      & info [ "advertise" ] ~docv:"ADDR"
-          ~doc:"Address members should dial for this router (default: \
-                derived from the listen address).")
-  in
-  let join =
-    C.Arg.(
-      value
-      & opt_all string []
-      & info [ "join" ] ~docv:"ADDR"
-          ~doc:"Seed addresses to gossip to until peers are learned; \
-                repeatable.  A seedless router still learns every shard \
-                that --join's it.")
-  in
-  let workers =
-    C.Arg.(
-      value & opt int 4
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains forwarding requests concurrently.")
-  in
-  let queue_capacity =
-    C.Arg.(
-      value & opt int 128
-      & info [ "queue-capacity" ] ~docv:"N"
-          ~doc:"Bounded request queue length (backpressure).")
-  in
-  let max_frame_bytes =
-    C.Arg.(
-      value
-      & opt int Wire.default_max_frame_bytes
-      & info [ "max-frame-bytes" ] ~docv:"N"
-          ~doc:"Reject request frames longer than $(docv) bytes.")
-  in
-  let default_timeout_ms =
-    C.Arg.(
-      value
-      & opt (some int) None
-      & info [ "default-timeout-ms" ] ~docv:"MS"
-          ~doc:"Deadline for requests that carry no timeout_ms of their own.")
-  in
   let vnodes =
     C.Arg.(
       value & opt int 64
@@ -191,43 +53,6 @@ let term =
           ~doc:"Ring candidates tried per keyed request (failover \
                 fan-out).")
   in
-  let interval =
-    C.Arg.(
-      value & opt int 500
-      & info [ "gossip-interval-ms" ] ~docv:"MS"
-          ~doc:"Membership gossip round interval.")
-  in
-  let suspicion =
-    C.Arg.(
-      value & opt int 2_000
-      & info [ "suspicion-timeout-ms" ] ~docv:"MS"
-          ~doc:"A member unheard-of for $(docv) ms becomes suspect.")
-  in
-  let dead =
-    C.Arg.(
-      value & opt int 6_000
-      & info [ "dead-timeout-ms" ] ~docv:"MS"
-          ~doc:"A member unheard-of for $(docv) ms is declared dead.")
-  in
-  let trace =
-    C.Arg.(
-      value & flag
-      & info [ "trace" ] ~doc:"Aggregate span timings (GOSSIP_TRACE=1).")
-  in
-  let trace_out =
-    C.Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Stream spans and events as JSON Lines to $(docv).")
-  in
-  let trace_ring =
-    C.Arg.(
-      value & opt int 4096
-      & info [ "trace-ring" ] ~docv:"N"
-          ~doc:"Keep the last $(docv) trace events in memory for the \
-                trace_pull operation (0 disables the ring).")
-  in
   let trace_sample_rate =
     C.Arg.(
       value & opt float 1.0
@@ -236,19 +61,12 @@ let term =
                 context-free routed requests that stream spans, decided \
                 purely from the trace id so every node agrees.")
   in
-  let access_log =
-    C.Arg.(
-      value
-      & opt (some string) None
-      & info [ "access-log" ] ~docv:"FILE"
-          ~doc:"Append one JSON line per answered request to $(docv).")
-  in
   C.Term.(
     ret
-      (const run $ socket $ tcp $ host $ node_id $ advertise $ join $ workers
-     $ queue_capacity $ max_frame_bytes $ default_timeout_ms $ vnodes
-     $ replicas $ interval $ suspicion $ dead $ trace $ trace_out $ trace_ring
-     $ trace_sample_rate $ access_log))
+      (const run
+      $ Daemon.term ~default_socket:"gossip_router.sock" ~workers:4
+          ~queue_capacity:128 ~node_id:"router" ()
+      $ vnodes $ replicas $ trace_sample_rate))
 
 let () =
   let doc = "consistent-hashing router over gossip_served shards" in

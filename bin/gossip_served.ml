@@ -16,117 +16,25 @@
 open Gossip_serve
 module C = Cmdliner
 
-let serve_run socket tcp_port host workers queue_capacity max_frame_bytes
-    default_timeout_ms eval_domains trace trace_out trace_ring access_log
-    metrics_dump metrics_dump_interval_ms max_heap_mb resource_interval_ms
-    chaos_args cluster_args =
-  (match trace_out with
-  | Some path -> Core.Util.Instrument.set_trace_file (Some path)
-  | None -> ());
-  if trace then Core.Util.Instrument.set_enabled true;
-  Core.Util.Instrument.set_ring_capacity trace_ring;
+let serve_run d eval_domains metrics_dump metrics_dump_interval_ms
+    max_heap_mb resource_interval_ms chaos_args =
   (* Parallelism comes from concurrent worker domains; nested parallel
      loops inside one request default to a single domain so [workers]
      requests never oversubscribe the machine. *)
   Core.Util.Parallel.set_default_domains (Some (max 1 eval_domains));
-  let listen =
-    if workers < 1 then `Error (true, "--workers: value must be at least 1")
-    else if queue_capacity < 1 then
-      `Error (true, "--queue-capacity: value must be at least 1")
-    else if max_frame_bytes < 2 then
-      `Error (true, "--max-frame-bytes: value must be at least 2")
-    else
-      match (socket, tcp_port) with
-      | Some path, None -> `Ok (Server.Unix_socket path)
-      | None, Some port -> `Ok (Server.Tcp (host, port))
-      | None, None -> `Ok (Server.Unix_socket "gossip_served.sock")
-      | Some _, Some _ -> `Error (true, "--socket and --tcp are exclusive")
+  let seed, drop, corrupt, delay, delay_ms, panic, disp_lat, disp_lat_ms =
+    chaos_args
   in
-  let chaos =
-    let seed, drop, corrupt, delay, delay_ms, panic, disp_lat, disp_lat_ms =
-      chaos_args
-    in
-    match
-      Chaos.make ~seed ~drop ~corrupt ~delay ~delay_ms ~panic
-        ~dispatch_latency:disp_lat ~dispatch_latency_ms:disp_lat_ms ()
-    with
-    | chaos -> `Ok chaos
-    | exception Invalid_argument msg -> `Error (true, msg)
-  in
-  match (listen, chaos) with
-  | (`Error _ as e), _ -> e
-  | _, (`Error _ as e) -> e
-  | `Ok listen, `Ok chaos -> (
-      let node_id, join, advertise, gossip_interval_ms, suspicion_timeout_ms,
-          dead_timeout_ms =
-        cluster_args
-      in
-      (* every streamed trace line names this shard, so merged fleet
-         traces stay attributable per line *)
-      (match node_id with
-      | Some node ->
-          Core.Util.Instrument.set_global_attrs
-            [ ("node", Core.Util.Json.Str node) ]
-      | None -> ());
-      let config =
-        {
-          (Server.default_config ~listen) with
-          Server.workers;
-          queue_capacity;
-          max_frame_bytes;
-          default_timeout_ms;
-          access_log;
-          chaos;
-          node = node_id;
-        }
-      in
-      let metrics =
-        Metrics.create ?node:node_id ~max_heap_mb ~workers ~queue_capacity ()
-      in
-      match Server.create ~metrics config with
-      | exception Unix.Unix_error (err, _, arg) ->
-          `Error
-            ( false,
-              Printf.sprintf "cannot listen on %s: %s"
-                (match listen with
-                | Server.Unix_socket p -> p
-                | Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
-                (Unix.error_message err ^ if arg = "" then "" else " " ^ arg) )
-      | server ->
-          let stop _ = Server.request_stop server in
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-          Server.start server;
-          (* Cluster membership: with --node-id this shard answers the
-             gossip/digest/drain ops and rumor-spreads its heartbeat to
-             --join seeds (typically the router) until live peers are
-             learned.  Routing itself lives in gossip_router; a shard
-             only has to stay visible. *)
-          let gossiper =
-            match node_id with
-            | None -> None
-            | Some self ->
-                let addr =
-                  match advertise with
-                  | Some a -> a
-                  | None -> Gossip_cluster.Transport.addr_of_listen listen
-                in
-                let membership =
-                  Gossip_cluster.Membership.create ~self ~addr ~role:"shard"
-                    ~suspicion_timeout_ms ~dead_timeout_ms ~seeds:join ()
-                in
-                Dispatch.set_cluster_handler (Server.dispatch server)
-                  (Gossip_cluster.Membership.handle membership);
-                let transport =
-                  Gossip_cluster.Transport.create
-                    ~policy:Gossip_cluster.Transport.gossip_policy ()
-                in
-                Some
-                  (Gossip_cluster.Gossiper.start ~membership ~transport
-                     ~interval_ms:gossip_interval_ms
-                     ~stopping:(fun () -> Server.stop_requested server)
-                     ())
-          in
+  match
+    Chaos.make ~seed ~drop ~corrupt ~delay ~delay_ms ~panic
+      ~dispatch_latency:disp_lat ~dispatch_latency_ms:disp_lat_ms ()
+  with
+  | exception Invalid_argument msg -> `Error (true, msg)
+  | chaos ->
+      Daemon.run d ~name:"gossip_served" ~role:"shard" ~max_heap_mb
+        ~config:(fun c -> { c with Server.chaos })
+        (fun server ->
+          let metrics = Server.metrics server in
           (* Background resource sampler: keeps gc.*/proc.* gauges fresh
              and feeds the metrics/health wire ops their live memory
              numbers (the runaway-heap health check reads the latest
@@ -145,8 +53,7 @@ let serve_run socket tcp_port host workers queue_capacity max_frame_bytes
             | exception Sys_error _ -> ()
             | oc ->
                 output_string oc
-                  (Core.Util.Json.to_string_pretty
-                     (Metrics.metrics_json (Server.metrics server)));
+                  (Core.Util.Json.to_string_pretty (Metrics.metrics_json metrics));
                 output_char oc '\n';
                 close_out oc;
                 (try Sys.rename tmp path with Sys_error _ -> ())
@@ -167,75 +74,22 @@ let serve_run socket tcp_port host workers queue_capacity max_frame_bytes
                   ())
               metrics_dump
           in
-          Printf.eprintf "gossip_served %s listening on %s (%d workers, queue %d)\n%!"
+          Printf.eprintf
+            "gossip_served %s listening on %s (%d workers, queue %d)\n%!"
             Core.Version.string
-            (match listen with
-            | Server.Unix_socket p -> p
-            | Server.Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
-            config.Server.workers config.Server.queue_capacity;
-          (match chaos with
-          | Some plan ->
+            (Server.string_of_listen d.Daemon.listen)
+            d.workers d.queue_capacity;
+          Option.iter
+            (fun plan ->
               Printf.eprintf "gossip_served: CHAOS ENABLED (%s)\n%!"
-                (Chaos.describe plan)
-          | None -> ());
-          Server.join server;
-          Core.Util.Resource.stop_sampler ();
-          (match gossiper with
-          | Some g -> Gossip_cluster.Gossiper.join g
-          | None -> ());
-          (match dumper with Some th -> Thread.join th | None -> ());
-          Option.iter dump_metrics metrics_dump;
-          prerr_endline "gossip_served: drained, bye";
-          `Ok ())
+                (Chaos.describe plan))
+            chaos;
+          fun () ->
+            Core.Util.Resource.stop_sampler ();
+            Option.iter Thread.join dumper;
+            Option.iter dump_metrics metrics_dump)
 
 let serve_term =
-  let socket =
-    C.Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Listen on a Unix-domain socket at $(docv) (the default, at \
-                ./gossip_served.sock).")
-  in
-  let tcp =
-    C.Arg.(
-      value
-      & opt (some int) None
-      & info [ "tcp" ] ~docv:"PORT" ~doc:"Listen on TCP port $(docv) instead.")
-  in
-  let host =
-    C.Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address for --tcp.")
-  in
-  let workers =
-    C.Arg.(
-      value
-      & opt int (Core.Util.Parallel.recommended_domains ())
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains evaluating requests concurrently.")
-  in
-  let queue_capacity =
-    C.Arg.(
-      value & opt int 64
-      & info [ "queue-capacity" ] ~docv:"N"
-          ~doc:"Bounded request queue length; a full queue answers \
-                queue_full immediately (backpressure).")
-  in
-  let max_frame_bytes =
-    C.Arg.(
-      value
-      & opt int Wire.default_max_frame_bytes
-      & info [ "max-frame-bytes" ] ~docv:"N"
-          ~doc:"Reject request frames longer than $(docv) bytes.")
-  in
-  let default_timeout_ms =
-    C.Arg.(
-      value
-      & opt (some int) None
-      & info [ "default-timeout-ms" ] ~docv:"MS"
-          ~doc:"Deadline for requests that carry no timeout_ms of their own.")
-  in
   let eval_domains =
     C.Arg.(
       value & opt int 1
@@ -243,34 +97,6 @@ let serve_term =
           ~doc:"Worker domains available to parallel loops INSIDE one \
                 request evaluation (default 1: the pool itself is the \
                 parallelism).")
-  in
-  let trace =
-    C.Arg.(
-      value & flag
-      & info [ "trace" ] ~doc:"Aggregate span timings (GOSSIP_TRACE=1).")
-  in
-  let trace_out =
-    C.Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Stream spans and events as JSON Lines to $(docv).")
-  in
-  let trace_ring =
-    C.Arg.(
-      value & opt int 4096
-      & info [ "trace-ring" ] ~docv:"N"
-          ~doc:"Keep the last $(docv) trace events in memory for the \
-                trace_pull operation (0 disables the ring).")
-  in
-  let access_log =
-    C.Arg.(
-      value
-      & opt (some string) None
-      & info [ "access-log" ] ~docv:"FILE"
-          ~doc:"Append one JSON line per answered request to $(docv): \
-                {ts, req_id, conn, op, status, queue_wait_ms, service_ms, \
-                id}.")
   in
   let metrics_dump =
     C.Arg.(
@@ -346,62 +172,14 @@ let serve_term =
       $ seed $ drop $ corrupt $ delay $ delay_ms $ panic $ disp_lat
       $ disp_lat_ms)
   in
-  let cluster_args =
-    let node_id =
-      C.Arg.(
-        value
-        & opt (some string) None
-        & info [ "node-id" ] ~docv:"ID"
-            ~doc:"Join a cluster as shard $(docv): answer the \
-                  gossip/digest/drain membership ops and heartbeat to the \
-                  --join seeds.  Without it the cluster ops answer \
-                  bad_request.")
-    in
-    let join =
-      C.Arg.(
-        value
-        & opt_all string []
-        & info [ "join" ] ~docv:"ADDR"
-            ~doc:"Seed addresses (unix:PATH | tcp:HOST:PORT) gossiped to \
-                  while no live peer is known; repeatable.  Typically the \
-                  router's address.")
-    in
-    let advertise =
-      C.Arg.(
-        value
-        & opt (some string) None
-        & info [ "advertise" ] ~docv:"ADDR"
-            ~doc:"Address other members should dial for this process \
-                  (default: derived from the listen address).")
-    in
-    let interval =
-      C.Arg.(
-        value & opt int 500
-        & info [ "gossip-interval-ms" ] ~docv:"MS"
-            ~doc:"Membership gossip round interval.")
-    in
-    let suspicion =
-      C.Arg.(
-        value & opt int 2_000
-        & info [ "suspicion-timeout-ms" ] ~docv:"MS"
-            ~doc:"A peer unheard-of for $(docv) ms becomes suspect.")
-    in
-    let dead =
-      C.Arg.(
-        value & opt int 6_000
-        & info [ "dead-timeout-ms" ] ~docv:"MS"
-            ~doc:"A peer unheard-of for $(docv) ms is declared dead.")
-    in
-    C.Term.(
-      const (fun a b c d e f -> (a, b, c, d, e, f))
-      $ node_id $ join $ advertise $ interval $ suspicion $ dead)
-  in
   C.Term.(
     ret
-      (const serve_run $ socket $ tcp $ host $ workers $ queue_capacity
-     $ max_frame_bytes $ default_timeout_ms $ eval_domains $ trace $ trace_out
-     $ trace_ring $ access_log $ metrics_dump $ metrics_dump_interval_ms
-     $ max_heap_mb $ resource_interval_ms $ chaos_args $ cluster_args))
+      (const serve_run
+      $ Daemon.term ~default_socket:"gossip_served.sock"
+          ~workers:(Core.Util.Parallel.recommended_domains ())
+          ~queue_capacity:64 ()
+      $ eval_domains $ metrics_dump $ metrics_dump_interval_ms $ max_heap_mb
+      $ resource_interval_ms $ chaos_args))
 
 let serve_cmd =
   C.Cmd.v

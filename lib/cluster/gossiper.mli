@@ -19,8 +19,5 @@ val start :
   unit ->
   t
 
-(** Number of completed ticks (a progress probe for tests). *)
-val ticks : t -> int
-
 (** Block until the loop has observed [stopping] and exited. *)
 val join : t -> unit

@@ -55,14 +55,15 @@ module Json = Gossip_util.Json
 type status = Alive | Suspect | Draining | Dead
 
 val status_to_string : status -> string
-val status_of_string : string -> status option
 
 (** [alive = 0 < suspect < draining < dead = 3] — the tiebreak order. *)
 val severity : status -> int
 
 type entry = {
   node : string;  (** cluster-unique id *)
-  addr : string;  (** ["unix:PATH"] or ["tcp:HOST:PORT"]; see {!Transport} *)
+  addr : string;
+      (** ["unix:PATH"] or ["tcp:HOST:PORT"]; see
+          {!Gossip_serve.Server.listen_of_string} *)
   role : string;  (** ["shard"] or ["router"] *)
   version : string;  (** {!Core.Version.string} at that node *)
   incarnation : int;
@@ -134,10 +135,6 @@ val digest : t -> string
     [{"schema": "gossip-view/1", "from": self, "digest": d,
       "entries": [...]}]. *)
 val view_json : t -> Json.t
-
-(** [self_view_json t] — same envelope, only [self]'s entry; the cheap
-    steady-state heartbeat. *)
-val self_view_json : t -> Json.t
 
 val entry_json : entry -> Json.t
 val entries_of_view : Json.t -> (entry list, string) result

@@ -52,7 +52,6 @@ let create ~membership ~metrics ?(vnodes = 64) ?(replicas = 2)
   }
 
 let transport t = Domain.DLS.get t.transport_key
-let replica_count t = t.replicas
 
 let is_shard (e : Membership.entry) = e.role = "shard" && e.addr <> ""
 

@@ -84,8 +84,6 @@ val create :
 (** The ring over the currently-routable shards (rebuilt on demand). *)
 val ring : t -> Ring.t
 
-val replica_count : t -> int
-
 (** The server [evaluate] described above; [trace] is the request's
     envelope context (minted here when absent).  Safe from several
     worker domains. *)

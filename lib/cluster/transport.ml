@@ -3,36 +3,6 @@ module Server = Gossip_serve.Server
 module Wire = Gossip_serve.Wire
 module Resilient = Gossip_serve.Resilient_client
 
-let listen_of_addr addr =
-  match String.index_opt addr ':' with
-  | None -> Error (Printf.sprintf "address %S: expected unix:PATH or tcp:HOST:PORT" addr)
-  | Some i -> (
-      let scheme = String.sub addr 0 i in
-      let rest = String.sub addr (i + 1) (String.length addr - i - 1) in
-      match scheme with
-      | "unix" ->
-          if rest = "" then Error (Printf.sprintf "address %S: empty path" addr)
-          else Ok (Server.Unix_socket rest)
-      | "tcp" -> (
-          match String.rindex_opt rest ':' with
-          | None ->
-              Error (Printf.sprintf "address %S: expected tcp:HOST:PORT" addr)
-          | Some j -> (
-              let host = String.sub rest 0 j in
-              let port = String.sub rest (j + 1) (String.length rest - j - 1) in
-              match int_of_string_opt port with
-              | Some p when p > 0 && p < 65536 && host <> "" ->
-                  Ok (Server.Tcp (host, p))
-              | _ -> Error (Printf.sprintf "address %S: bad host or port" addr)))
-      | _ ->
-          Error
-            (Printf.sprintf "address %S: unknown scheme %S (unix | tcp)" addr
-               scheme))
-
-let addr_of_listen = function
-  | Server.Unix_socket path -> "unix:" ^ path
-  | Server.Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
-
 let default_policy =
   {
     Resilient.max_attempts = 2;
@@ -83,7 +53,7 @@ let conn t addr =
   match Hashtbl.find_opt t.conns addr with
   | Some c -> Ok c
   | None -> (
-      match listen_of_addr addr with
+      match Server.listen_of_string addr with
       | Error _ as e -> e
       | Ok listen -> (
           match

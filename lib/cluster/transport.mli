@@ -1,7 +1,8 @@
 (** Addressed wire calls between cluster members.
 
     A cluster entry advertises its listener as a single string —
-    ["unix:PATH"] or ["tcp:HOST:PORT"] — and a [Transport.t] keeps one
+    ["unix:PATH"] or ["tcp:HOST:PORT"], the {!Gossip_serve.Server}
+    listen-address codec — and a [Transport.t] keeps one
     lazily-connected {!Gossip_serve.Resilient_client} per such address,
     so gossip rounds and control forwards reuse connections instead of
     dialing per message.  The default policy is deliberately impatient
@@ -14,12 +15,6 @@
     are not thread-safe); the router keeps one per worker domain. *)
 
 module Json = Gossip_util.Json
-
-(** [listen_of_addr "unix:/tmp/x.sock"] / ["tcp:127.0.0.1:7001"] —
-    parse an advertised address; [Error] names the defect. *)
-val listen_of_addr : string -> (Gossip_serve.Server.listen, string) result
-
-val addr_of_listen : Gossip_serve.Server.listen -> string
 
 type t
 
@@ -64,8 +59,5 @@ val exchange :
   ( Json.t,
     [ `Fatal of Gossip_serve.Wire.error_code * string | `Down of string ] )
   result
-
-(** Drop the cached connection to [addr] (the next call re-dials). *)
-val forget : t -> string -> unit
 
 val close : t -> unit

@@ -2,16 +2,6 @@ module Json = Gossip_util.Json
 
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
-let sockaddr_of_listen = function
-  | Server.Unix_socket path -> Unix.ADDR_UNIX path
-  | Server.Tcp (host, port) ->
-      let addr =
-        match Unix.inet_addr_of_string host with
-        | addr -> addr
-        | exception Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      Unix.ADDR_INET (addr, port)
-
 (* Bounded connect: non-blocking [connect], then wait for writability
    under a deadline.  Without this a black-holed peer (SYN swallowed, no
    RST — a dead VM, a dropped route) wedges the caller in the kernel's
@@ -44,8 +34,8 @@ let connect ?connect_timeout_ms listen =
   (try
      match connect_timeout_ms with
      | Some ms when ms > 0 ->
-         connect_deadline fd (sockaddr_of_listen listen) ~timeout_ms:ms
-     | _ -> Unix.connect fd (sockaddr_of_listen listen)
+         connect_deadline fd (Server.sockaddr listen) ~timeout_ms:ms
+     | _ -> Unix.connect fd (Server.sockaddr listen)
    with e ->
      (try Unix.close fd with _ -> ());
      raise e);

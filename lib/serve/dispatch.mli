@@ -45,8 +45,3 @@ val set_cluster_handler :
     Never raises. *)
 val eval :
   t -> Wire.op -> (Gossip_util.Json.t, Wire.error_code * string) result
-
-(** [build_network net] — the {!Gossip_topology.Digraph.t} a {!Wire.net}
-    names; [Error] on parameters the family rejects. *)
-val build_network :
-  Wire.net -> (Gossip_topology.Digraph.t, string) result

@@ -115,9 +115,6 @@ val last_resource : t -> Gossip_util.Resource.snapshot option
 
 (** {1 Reading} *)
 
-(** [in_flight t] — number of workers currently busy on a job. *)
-val in_flight : t -> int
-
 (** Cumulative supervisor respawns. *)
 val worker_restarts : t -> int
 

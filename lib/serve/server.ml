@@ -4,6 +4,46 @@ module Trace = Gossip_util.Trace
 
 type listen = Unix_socket of string | Tcp of string * int
 
+(* --- the listen-address codec: unix:PATH | tcp:HOST:PORT --- *)
+
+let parse_tcp ~form addr hostport =
+  let bad what = Error (Printf.sprintf "address %S: %s" addr what) in
+  match String.rindex_opt hostport ':' with
+  | None -> bad ("expected " ^ form)
+  | Some j -> (
+      let host = String.sub hostport 0 j in
+      let port = String.sub hostport (j + 1) (String.length hostport - j - 1) in
+      match int_of_string_opt port with
+      | Some p when p > 0 && p < 65536 && host <> "" -> Ok (Tcp (host, p))
+      | _ -> bad "bad host or port")
+
+let listen_of_string addr =
+  let bad what = Error (Printf.sprintf "address %S: %s" addr what) in
+  match String.index_opt addr ':' with
+  | None -> bad "expected unix:PATH or tcp:HOST:PORT"
+  | Some i -> (
+      let rest = String.sub addr (i + 1) (String.length addr - i - 1) in
+      match String.sub addr 0 i with
+      | "unix" -> if rest = "" then bad "empty path" else Ok (Unix_socket rest)
+      | "tcp" -> parse_tcp ~form:"tcp:HOST:PORT" addr rest
+      | scheme -> bad (Printf.sprintf "unknown scheme %S (unix | tcp)" scheme))
+
+let tcp_of_string hostport = parse_tcp ~form:"HOST:PORT" hostport hostport
+
+let string_of_listen = function
+  | Unix_socket path -> "unix:" ^ path
+  | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
+
+let sockaddr = function
+  | Unix_socket path -> Unix.ADDR_UNIX path
+  | Tcp (host, port) ->
+      let addr =
+        match Unix.inet_addr_of_string host with
+        | addr -> addr
+        | exception Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+      in
+      Unix.ADDR_INET (addr, port)
+
 type config = {
   listen : listen;
   workers : int;
@@ -696,30 +736,23 @@ let create ?dispatch ?metrics ?evaluate (config : config) =
   in
   let access_oc = Option.map open_out config.access_log in
   let listen_fd =
-    match config.listen with
-    | Unix_socket path ->
-        unlink_if_socket path;
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.bind fd (Unix.ADDR_UNIX path)
-         with e ->
-           (try Unix.close fd with _ -> ());
-           raise e);
-        Unix.listen fd 64;
-        fd
-    | Tcp (host, port) ->
-        let addr =
-          match Unix.inet_addr_of_string host with
-          | addr -> addr
-          | exception Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        (try Unix.bind fd (Unix.ADDR_INET (addr, port))
-         with e ->
-           (try Unix.close fd with _ -> ());
-           raise e);
-        Unix.listen fd 64;
-        fd
+    let addr = sockaddr config.listen in
+    let fd =
+      match config.listen with
+      | Unix_socket path ->
+          unlink_if_socket path;
+          Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+      | Tcp _ ->
+          let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Unix.setsockopt fd Unix.SO_REUSEADDR true;
+          fd
+    in
+    (try Unix.bind fd addr
+     with e ->
+       (try Unix.close fd with _ -> ());
+       raise e);
+    Unix.listen fd 64;
+    fd
   in
   {
     config;

@@ -74,6 +74,29 @@ type listen =
   | Unix_socket of string  (** path; unlinked on bind and on shutdown *)
   | Tcp of string * int  (** bind address and port *)
 
+(** {2 Listen addresses}
+
+    The one codec for the [unix:PATH] / [tcp:HOST:PORT] form in which
+    cluster members advertise themselves and the daemons' [--join] and
+    [--advertise] flags name peers. *)
+
+(** [listen_of_string "unix:/tmp/x.sock"] / ["tcp:127.0.0.1:7001"] —
+    parse an address: a non-empty path, or a non-empty host and a port
+    in 1–65535.  [Error] names the defect. *)
+val listen_of_string : string -> (listen, string) result
+
+(** [tcp_of_string "HOST:PORT"] — the [tcp:] form without its scheme,
+    as the tools' [--tcp] flag takes it. *)
+val tcp_of_string : string -> (listen, string) result
+
+(** The inverse of {!listen_of_string}: [unix:PATH] or [tcp:HOST:PORT]. *)
+val string_of_listen : listen -> string
+
+(** [sockaddr l] — the socket address to bind or dial: a TCP host is
+    read as a numeric address first, then resolved by name.
+    @raise Not_found when the host name does not resolve. *)
+val sockaddr : listen -> Unix.sockaddr
+
 type config = {
   listen : listen;
   workers : int;  (** worker domains evaluating requests *)

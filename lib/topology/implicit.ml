@@ -116,28 +116,34 @@ let de_bruijn d dim =
     ~slot:(fun v k ->
       if k < d then (v mod shift * d) + k else (v / d) + ((k - d) * shift))
 
-(* Symmetric Kautz via the string coding of Families: out-neighbors
-   prepend an allowed symbol, in-neighbors append one. *)
+(* Symmetric Kautz on the rank coding of Families.kautz_vertex_of_string:
+   a vertex is v = top·d^(D-1) + low, where top + 1 is the string's last
+   symbol and low's base-d digits rank each other symbol among the d
+   symbols that differ from its right neighbour.  Out-slot k prepends
+   the symbol of rank k (shifting the digits up and dropping the last
+   symbol); in-slot d + j appends the j-th symbol other than the last
+   (shifting the digits down).  No string is built. *)
 let kautz d dim =
   require "kautz" (d >= 2 && dim >= 1);
-  let n = (d + 1) * ipow d (dim - 1) in
-  let slot v k =
-    let s = Families.kautz_string_of_vertex ~d ~dim v in
-    let t = Array.make dim 0 in
-    if k < d then begin
-      (* k-th symbol of {1..d+1} \ {s.(0)}, prepended *)
-      Array.blit s 0 t 1 (dim - 1);
-      let sym = if k + 1 < s.(0) then k + 1 else k + 2 in
-      t.(0) <- sym
-    end
-    else begin
-      (* (k-d)-th symbol of {1..d+1} \ {s.(dim-1)}, appended *)
-      Array.blit s 1 t 0 (dim - 1);
-      let j = k - d in
-      let sym = if j + 1 < s.(dim - 1) then j + 1 else j + 2 in
-      t.(dim - 1) <- sym
-    end;
-    Families.kautz_vertex_of_string ~d t
+  let hi = ipow d (dim - 1) in
+  let n = (d + 1) * hi in
+  let slot =
+    if dim = 1 then
+      (* K(d,1) is complete: slot k names the (k mod d)-th other vertex *)
+      fun v k ->
+        let j = k mod d in
+        if j >= v then j + 1 else j
+    else
+      let mid = hi / d in
+      fun v k ->
+        let top = v / hi and low = v mod hi in
+        if k < d then
+          let r = low / mid in
+          ((if r >= top then r + 1 else r) * hi) + (low mod mid * d) + k
+        else
+          let j = k - d in
+          if j < top then (j * hi) + ((top - 1) * mid) + (low / d)
+          else ((j + 1) * hi) + (top * mid) + (low / d)
   in
   make ~name:(Printf.sprintf "K(%d,%d)" d dim) ~n ~slots:(2 * d) ~slot
 

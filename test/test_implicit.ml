@@ -899,6 +899,36 @@ let test_proposal_nominees () =
       (Implicit.kautz 3 4, 6);
     ]
 
+(* Every raw slot of K(d, D) against the string it names: out-slot k
+   prepends the symbol of rank k among those other than the first and
+   drops the last; in-slot d + j appends the j-th symbol other than the
+   last and drops the first.  The agreement cases above compare arc
+   sets only, so they cannot see a permutation of one vertex's slots. *)
+let test_kautz_slots_name_strings () =
+  let other excluded r = if r + 1 < excluded then r + 1 else r + 2 in
+  List.iter
+    (fun d ->
+      for dim = 1 to 5 do
+        let imp = Implicit.kautz d dim in
+        for v = 0 to Implicit.n_vertices imp - 1 do
+          let s = Families.kautz_string_of_vertex ~d ~dim v in
+          for k = 0 to (2 * d) - 1 do
+            let t =
+              if k < d then
+                Array.init dim (fun i -> if i = 0 then other s.(0) k else s.(i - 1))
+              else
+                Array.init dim (fun i ->
+                    if i = dim - 1 then other s.(dim - 1) (k - d) else s.(i + 1))
+            in
+            check_int
+              (Printf.sprintf "K(%d,%d) slot %d of %d" d dim k v)
+              (Families.kautz_vertex_of_string ~d t)
+              (Implicit.slot imp v k)
+          done
+        done
+      done)
+    [ 2; 3; 4 ]
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -928,4 +958,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_staged_sender_matches_reference;
     ("complete before the first round", `Quick, test_complete_before_first_round);
     ("proposal nominees match their definition", `Quick, test_proposal_nominees);
+    ("kautz slots name their strings", `Quick, test_kautz_slots_name_strings);
   ]

@@ -1827,6 +1827,43 @@ let test_e2e_resilient_client_fatal_not_retried () =
           check_int "rejected on the first attempt" 1 s.Resilient.attempts;
           check_int "no retries of a rejection" 0 s.Resilient.retries))
 
+(* --- the listen-address codec --- *)
+
+let test_listen_codec () =
+  List.iter
+    (fun (text, listen) ->
+      check (text ^ " parses") true (Server.listen_of_string text = Ok listen);
+      check_str (text ^ " prints") text (Server.string_of_listen listen))
+    [
+      ("unix:/tmp/x.sock", Server.Unix_socket "/tmp/x.sock");
+      ("unix:rel/a:b.sock", Server.Unix_socket "rel/a:b.sock");
+      ("tcp:127.0.0.1:7001", Server.Tcp ("127.0.0.1", 7001));
+      ("tcp:localhost:1", Server.Tcp ("localhost", 1));
+      ("tcp:::1:65535", Server.Tcp ("::1", 65535));
+    ];
+  check "HOST:PORT parses" true
+    (Server.tcp_of_string "10.0.0.2:4464" = Ok (Server.Tcp ("10.0.0.2", 4464)));
+  List.iter
+    (fun text ->
+      check (text ^ " rejected") true
+        (Result.is_error (Server.listen_of_string text)))
+    [
+      "tcp:127.0.0.1:0";
+      "tcp:127.0.0.1:65536";
+      "tcp:127.0.0.1:70000";
+      "tcp::4464";
+      "unix:";
+      "tcp:127.0.0.1";
+      "tcp:127.0.0.1:";
+      "udp:127.0.0.1:4464";
+      "/tmp/x.sock";
+    ];
+  List.iter
+    (fun text ->
+      check (text ^ " rejected as HOST:PORT") true
+        (Result.is_error (Server.tcp_of_string text)))
+    [ "127.0.0.1:70000"; "127.0.0.1:0"; ":4464"; "127.0.0.1" ]
+
 let suite =
   [
     ("bounded queue basics", `Quick, test_queue_basic);
@@ -1869,4 +1906,5 @@ let suite =
     ("e2e resilient client tolerates corruption", `Quick, test_e2e_resilient_client_tolerates_corruption);
     ("e2e resilient client drops stale replies", `Quick, test_e2e_resilient_client_drops_stale_replies);
     ("e2e resilient client does not retry rejections", `Quick, test_e2e_resilient_client_fatal_not_retried);
+    ("listen-address codec", `Quick, test_listen_codec);
   ]

@@ -35,16 +35,11 @@ let usage () =
 let parse_target = function
   | "--socket" :: path :: rest -> (Serve.Server.Unix_socket path, rest)
   | "--tcp" :: hostport :: rest -> (
-      match String.rindex_opt hostport ':' with
-      | None -> usage ()
-      | Some i -> (
-          let host = String.sub hostport 0 i in
-          let port =
-            String.sub hostport (i + 1) (String.length hostport - i - 1)
-          in
-          match int_of_string_opt port with
-          | Some p -> (Serve.Server.Tcp (host, p), rest)
-          | None -> usage ()))
+      match Serve.Server.tcp_of_string hostport with
+      | Ok listen -> (listen, rest)
+      | Error e ->
+          prerr_endline ("cluster_ctl: --tcp: " ^ e);
+          usage ())
   | _ -> usage ()
 
 let call target op =

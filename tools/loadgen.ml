@@ -190,14 +190,9 @@ let parse_args () =
         target := Some (Serve.Server.Unix_socket path);
         go rest
     | "--tcp" :: hostport :: rest ->
-        (match String.rindex_opt hostport ':' with
-        | Some i -> (
-            let host = String.sub hostport 0 i in
-            let port = String.sub hostport (i + 1) (String.length hostport - i - 1) in
-            match int_of_string_opt port with
-            | Some p -> target := Some (Serve.Server.Tcp (host, p))
-            | None -> usage ())
-        | None -> usage ());
+        (match Serve.Server.tcp_of_string hostport with
+        | Ok listen -> target := Some listen
+        | Error e -> fail "--tcp: %s" e);
         go rest
     | "--connections" :: n :: rest ->
         connections := (match int_of_string_opt n with Some v when v >= 1 -> v | _ -> usage ());
@@ -762,11 +757,7 @@ let () =
       [
         ("schema", Json.Str "gossip-loadgen/1");
         ("version", Json.Str Core.Version.string);
-        ( "target",
-          Json.Str
-            (match args.target with
-            | Serve.Server.Unix_socket p -> "unix:" ^ p
-            | Serve.Server.Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p) );
+        ("target", Json.Str (Serve.Server.string_of_listen args.target));
         ("connections", Json.Int args.connections);
         ("requests", Json.Int args.requests);
         ("ok", Json.Int tally.ok);
