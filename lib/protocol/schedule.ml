@@ -11,6 +11,8 @@ type t = {
          receiver -> sender function *)
   nomination : (int * (int -> int -> int)) option;
       (* (pairings, candidate): set by [proposal] only *)
+  pairing : (int * (int -> int -> int)) option;
+      (* (pairings, pairing): set by [of_pairing] only *)
   tables : int array array option;
       (* one receiver-indexed sender table per period round: set by
          [of_systolic], [tabulate] and [without_arcs] only *)
@@ -19,13 +21,15 @@ type t = {
 let make ~name ~n ~mode ~period ~sender =
   if n < 0 then invalid_arg "Schedule.make: negative vertex count";
   if period < 1 then invalid_arg "Schedule.make: period must be >= 1";
-  { name; n; mode; period; sender; nomination = None; tables = None }
+  { name; n; mode; period; sender; nomination = None; pairing = None;
+    tables = None }
 
 let name t = t.name
 let n_vertices t = t.n
 let mode t = t.mode
 let period t = t.period
 let nomination t = t.nomination
+let pairing t = t.pairing
 let tables t = t.tables
 
 let sender t round =
@@ -46,6 +50,7 @@ let of_tables ~name ~n ~mode tables =
         let snd = tables.(r mod s) in
         fun v -> snd.(v));
     nomination = None;
+    pairing = None;
     tables = Some tables;
   }
 
@@ -118,6 +123,7 @@ let with_drops t ~drop =
     t with
     name = t.name ^ "+drops";
     nomination = None;
+    pairing = None;
     tables = None;
     sender =
       (fun r ->
@@ -135,23 +141,29 @@ let with_drops t ~drop =
    (or -1), and must be an involution: pairing t (pairing t v) = v.
    The round's pairing index and phase are settled once, when the round
    is staged; [pairing t] is applied once per round too, so a pairing
-   written [fun t -> ... fun v -> ...] stages its own per-round work. *)
+   written [fun t -> ... fun v -> ...] stages its own per-round work.
+   The schedule keeps [(pairings, pairing)] as its [pairing], so the
+   chunked engine can merge each pair once instead of asking [sender]
+   for every vertex and every receiver's sender. *)
 let of_pairing ~name ~n ~pairings ~full_duplex pairing =
-  if full_duplex then
-    make ~name ~n ~mode:Protocol.Full_duplex ~period:pairings
-      ~sender:(fun r -> pairing (r mod pairings))
-  else
-    make ~name ~n ~mode:Protocol.Half_duplex
-      ~period:(2 * pairings)
-      ~sender:(fun r ->
-        let r = r mod (2 * pairings) in
-        let partner = pairing (r / 2) in
-        if r mod 2 = 0 then fun v ->
-          let p = partner v in
-          if p >= 0 && p < v then p else -1
-        else fun v ->
-          let p = partner v in
-          if p > v then p else -1)
+  let sched =
+    if full_duplex then
+      make ~name ~n ~mode:Protocol.Full_duplex ~period:pairings
+        ~sender:(fun r -> pairing (r mod pairings))
+    else
+      make ~name ~n ~mode:Protocol.Half_duplex
+        ~period:(2 * pairings)
+        ~sender:(fun r ->
+          let r = r mod (2 * pairings) in
+          let partner = pairing (r / 2) in
+          if r mod 2 = 0 then fun v ->
+            let p = partner v in
+            if p >= 0 && p < v then p else -1
+          else fun v ->
+            let p = partner v in
+            if p > v then p else -1)
+  in
+  { sched with pairing = Some (pairings, pairing) }
 
 (* Proper coloring of the cycle on [len] vertices: edge j joins j and
    j+1 mod len; colors alternate, with the closing edge taking a third

@@ -32,7 +32,7 @@ type t
     ([sender (round + period) = sender round]) is expected of plain
     schedules but intentionally {e not} of fault-wrapped ones
     ({!with_drops} keys drops on the absolute round index).  The result
-    has no {!nomination} and no {!tables}.
+    has no {!nomination}, no {!pairing} and no {!tables}.
     @raise Invalid_argument on [n < 0] or [period < 1]. *)
 val make :
   name:string ->
@@ -66,6 +66,24 @@ val period : t -> int
     [candidate p v] re-stages the pairing, and allocates, on every
     call. *)
 val nomination : t -> (int * (int -> int -> int)) option
+
+(** [pairing t] is [Some (pairings, pairing)] for a schedule built by
+    {!of_pairing} — the structured generators ({!hypercube_sweep},
+    {!cycle_alternating}, {!torus_colored}, {!ccc_colored}) and
+    {!proposal} — and [None] for every other one: {!make}, {!tabulate},
+    {!of_systolic}, {!without_arcs}, {!with_drops} (whose drops a pairing
+    cannot express) and the {!Fault_tolerant} transforms (an augment
+    that adds no chord returns its input unchanged).  [pairing p v]
+    is the partner of [v] in pairing [p] ([0 <= p < pairings]), or [-1];
+    it is an involution, and round [r] runs pairing [r mod pairings]
+    (full duplex) or [(r mod 2·pairings) / 2] (half duplex, the lower
+    endpoint sending in the pairing's first round and the higher in its
+    second), so [sender t r v] can be rebuilt from [pairing] alone.  It
+    is staged like {!sender}: apply [pairing p] once per pairing and the
+    result once per vertex, as the chunked engine does.  A {!proposal}
+    also carries a {!nomination}, which the chunked engine takes
+    first. *)
+val pairing : t -> (int * (int -> int -> int)) option
 
 (** [sender t round] is the receiver -> sender function of (absolute)
     [round]: [sender t round v] is the vertex transmitting to [v], or
@@ -102,7 +120,7 @@ val of_systolic : Systolic.t -> t
     the first period forever, so a {!with_drops} schedule whose drops
     change from period to period is not the same schedule once tabled.
     The result keeps [t]'s name, size, mode and period, has the same
-    {!sender}, and has no {!nomination}. *)
+    {!sender}, and has no {!nomination} and no {!pairing}. *)
 val tabulate : t -> t
 
 (** [tables t] is [Some tables] for a tabled schedule ({!of_systolic},
@@ -142,9 +160,10 @@ val to_systolic : t -> Gossip_topology.Digraph.t -> Systolic.t
     Dropping one direction of a full-duplex exchange legally degrades it
     to a one-directional transmission.  [round] is absolute, so i.i.d.
     fault processes do not repeat each period.  The result has no
-    {!nomination} and no {!tables}: drops act on absolute rounds, which
-    neither a nominee table nor one period of sender tables can express,
-    so the chunked engine runs it through {!sender}.  Permanently dead
+    {!nomination}, no {!pairing} and no {!tables}: drops act on absolute
+    rounds, which neither a nominee table, a drop-free pairing nor one
+    period of sender tables can express, so the chunked engine runs it
+    through {!sender}.  Permanently dead
     arcs of a periodic schedule are {!without_arcs}. *)
 val with_drops : t -> drop:(round:int -> u:int -> v:int -> bool) -> t
 
@@ -162,7 +181,8 @@ val with_drops : t -> drop:(round:int -> u:int -> v:int -> bool) -> t
     round's pairing index and phase are computed when the round is
     staged (see {!sender}), and [pairing t] is applied once per round,
     so a pairing written [fun t -> (per-pairing work); fun v -> ...]
-    stages its own work too. *)
+    stages its own work too.  The result exposes [(pairings, pairing)]
+    as its {!pairing}. *)
 val of_pairing :
   name:string ->
   n:int ->

@@ -1,25 +1,25 @@
 module Parallel = Gossip_util.Parallel
-module Bitset = Gossip_util.Bitset
 module Instrument = Gossip_util.Instrument
 module Json = Gossip_util.Json
 module Protocol = Gossip_protocol.Protocol
 module Schedule = Gossip_protocol.Schedule
 
-(* One contiguous int array of n·words knowledge bits, processed in
+(* One contiguous buffer of n·words 64-bit knowledge words, processed in
    contiguous vertex blocks by worker domains.  Tracking [items <= n]
    items (instead of the full n² gossip state) is what keeps a
    million-vertex simulation in memory proportional to state: items
    defaults to n, exact gossip as {!Engine} runs it, while items = 64
-   at n = 10^6 takes two 63-bit words per vertex, 16 MB instead of
-   ~125 GB. *)
-
-let bits_per_word = 63
+   at n = 2^20 takes one word per vertex, 8 MB instead of ~137 GB.
+   Words are read and written with the bounds-checked
+   [Bytes.get_int64_ne] / [Bytes.set_int64_ne], which the native
+   compiler keeps unboxed. *)
 
 type state = {
   n : int;
   items : int;
   words : int;
-  state : int array;
+  state : Bytes.t;
+      (* vertex v's word w at byte offset [((v * words) + w) * 8] *)
   mutable known : int;
   mutable cand : int array;
       (* nominees of one pairing instance; allocated (n words) on the
@@ -33,34 +33,39 @@ type state = {
          hold *)
 }
 
+(* SWAR over the 64-bit word, bit 63 (the sign bit) included: 2-, 4-
+   and 8-bit partial counts, then one multiply sums the eight bytes into
+   the top one.  It lives beside the merges rather than in [Bitset]:
+   dune's default profile compiles with [-opaque], so a call into
+   another module is never inlined and would box its [int64]
+   argument. *)
+let[@inline] popcount64 x =
+  let open Int64 in
+  let x = sub x (logand (shift_right_logical x 1) 0x5555_5555_5555_5555L) in
+  let x =
+    add
+      (logand x 0x3333_3333_3333_3333L)
+      (logand (shift_right_logical x 2) 0x3333_3333_3333_3333L)
+  in
+  let x = logand (add x (shift_right_logical x 4)) 0x0F0F_0F0F_0F0F_0F0FL in
+  to_int (shift_right_logical (mul x 0x0101_0101_0101_0101L) 56)
+
 let create ?items n =
   if n < 0 then invalid_arg "Chunked.create: negative vertex count";
   let items =
     match items with None -> n | Some k -> max 0 (min k n)
   in
-  let words = max 1 ((items + bits_per_word - 1) / bits_per_word) in
-  let state = Array.make (max 1 (n * words)) 0 in
-  let st =
-    {
-      n;
-      items;
-      words;
-      state;
-      known = 0;
-      cand = [||];
-      pairs = [||];
-      npairs = 0;
-      cand_key = None;
-    }
-  in
+  let words = max 1 ((items + 63) / 64) in
+  let state = Bytes.make (8 * max 1 (n * words)) '\000' in
   (* vertex v starts knowing item v, restricted to the first [items]
      items *)
   for v = 0 to items - 1 do
-    st.state.((v * words) + (v / bits_per_word)) <-
-      1 lsl (v mod bits_per_word)
+    Bytes.set_int64_ne state
+      (8 * ((v * words) + (v lsr 6)))
+      (Int64.shift_left 1L (v land 63))
   done;
-  st.known <- items;
-  st
+  { n; items; words; state; known = items; cand = [||]; pairs = [||];
+    npairs = 0; cand_key = None }
 
 let n_vertices st = st.n
 let items st = st.items
@@ -68,11 +73,11 @@ let items_known st = st.known
 
 let knows st v i =
   if v < 0 || v >= st.n then invalid_arg "Chunked.knows: vertex out of range";
-  if i < 0 || i >= st.items then false
-  else
-    st.state.((v * st.words) + (i / bits_per_word))
-    land (1 lsl (i mod bits_per_word))
-    <> 0
+  i >= 0 && i < st.items
+  && Int64.logand
+       (Bytes.get_int64_ne st.state (8 * ((v * st.words) + (i lsr 6))))
+       (Int64.shift_left 1L (i land 63))
+     <> 0L
 
 let coverage st =
   if st.n = 0 || st.items = 0 then 1.0
@@ -80,26 +85,26 @@ let coverage st =
 
 let complete st = st.known = st.n * st.items
 
-(* The one merge rule, on the word rows of vertices [v] and [x] at
-   [dv = v * words] and [dx = x * words]; each returns the number of
-   newly-set bits, counted by the one constant-time [Bitset.popcount].
-   [exchange] is a full-duplex pair: both rows get old(v) | old(x),
-   identical to the start-of-round snapshot semantics, so the pair's
-   lower endpoint owns the write.  [absorb] is a one-directional arc
-   x -> v: x is not written in a round it sends in, so v |= x in place
-   is race-free. *)
+(* The one merge rule, on the word rows of vertices [v] and [x] at byte
+   offsets [dv] and [dx]; each returns the number of newly-set bits,
+   counted by [popcount64].  [exchange] is a full-duplex pair: both rows
+   get old(v) | old(x), identical to the start-of-round snapshot
+   semantics, so the pair's lower endpoint owns the write.  [absorb] is
+   a one-directional arc x -> v: x is not written in a round it sends
+   in, so v |= x in place is race-free. *)
 let[@inline] exchange state words dv dx =
   let delta = ref 0 in
   for w = 0 to words - 1 do
-    let a = state.(dv + w) and b = state.(dx + w) in
-    let u = a lor b in
+    let ov = dv + (8 * w) and ox = dx + (8 * w) in
+    let a = Bytes.get_int64_ne state ov and b = Bytes.get_int64_ne state ox in
+    let u = Int64.logor a b in
     if u <> a then begin
-      delta := !delta + Bitset.popcount (u land lnot a);
-      state.(dv + w) <- u
+      delta := !delta + popcount64 (Int64.logand b (Int64.lognot a));
+      Bytes.set_int64_ne state ov u
     end;
     if u <> b then begin
-      delta := !delta + Bitset.popcount (u land lnot b);
-      state.(dx + w) <- u
+      delta := !delta + popcount64 (Int64.logand a (Int64.lognot b));
+      Bytes.set_int64_ne state ox u
     end
   done;
   !delta
@@ -107,14 +112,26 @@ let[@inline] exchange state words dv dx =
 let[@inline] absorb state words dv dx =
   let delta = ref 0 in
   for w = 0 to words - 1 do
-    let a = state.(dv + w) in
-    let u = a lor state.(dx + w) in
+    let ov = dv + (8 * w) in
+    let a = Bytes.get_int64_ne state ov in
+    let u = Int64.logor a (Bytes.get_int64_ne state (dx + (8 * w))) in
     if u <> a then begin
-      delta := !delta + Bitset.popcount (u land lnot a);
-      state.(dv + w) <- u
+      delta := !delta + popcount64 (Int64.logand u (Int64.lognot a));
+      Bytes.set_int64_ne state ov u
     end
   done;
   !delta
+
+(* One pair [v < x] of a pairing, merged by [phase], as [of_pairing]
+   splits a pairing into rounds: [phase < 0] is a full-duplex round, and
+   the pair exchanges; in half duplex the lower endpoint [v] sends when
+   [phase = 0] and the higher [x] when [phase = 1], and the other end
+   absorbs.  Only the pair's own two rows are read or written. *)
+let[@inline] merge_pair state words phase v x =
+  let dv = 8 * v * words and dx = 8 * x * words in
+  if phase < 0 then exchange state words dv dx
+  else if phase = 0 then absorb state words dx dv
+  else absorb state words dv dx
 
 (* One vertex block of one round, in place.  [sender] is the round's
    receiver -> sender function, staged once per block by [Schedule.sender]
@@ -132,9 +149,9 @@ let block_delta st sender lo hi =
     if x >= 0 && x < st.n && x <> v then
       if sender x = v then begin
         if v < x then
-          delta := !delta + exchange state words (v * words) (x * words)
+          delta := !delta + exchange state words (8 * v * words) (8 * x * words)
       end
-      else delta := !delta + absorb state words (v * words) (x * words)
+      else delta := !delta + absorb state words (8 * v * words) (8 * x * words)
   done;
   !delta
 
@@ -151,33 +168,38 @@ let tabled_block_delta st snd lo hi =
     if x >= 0 && x < n && x <> v then
       if snd.(x) = v then begin
         if v < x then
-          delta := !delta + exchange state words (v * words) (x * words)
+          delta := !delta + exchange state words (8 * v * words) (8 * x * words)
       end
-      else delta := !delta + absorb state words (v * words) (x * words)
+      else delta := !delta + absorb state words (8 * v * words) (8 * x * words)
+  done;
+  !delta
+
+(* The pairing arm, for {!Schedule.of_pairing} schedules: [partner] is
+   the round's pairing, staged once per block, and every pair [v < x] is
+   merged once, by the block that holds its lower endpoint [v]; the
+   higher endpoint's block skips it.  The pairing is an involution, so
+   the pairs are disjoint, and any block split writes disjoint rows. *)
+let pairing_delta st partner phase lo hi =
+  let words = st.words and state = st.state and n = st.n in
+  let delta = ref 0 in
+  for v = lo to hi - 1 do
+    let x = partner v in
+    if v < x && x < n then
+      delta := !delta + merge_pair state words phase v x
   done;
   !delta
 
 (* The candidate-table arm, for schedules with a {!Schedule.nomination}:
    [st.pairs.(lo .. hi - 1)] are lower endpoints [v] of mutual pairs,
-   whose partner is [x = cand.(v) > v].  [phase < 0] is a full-duplex
-   round: the pair exchanges, owned by its lower endpoint as in
-   [block_delta].  Otherwise it is a half-duplex round, as [of_pairing]
-   splits it: the lower endpoint sends when [phase = 0] and the higher
-   one when [phase = 1], and the other end absorbs.  Pairs are disjoint,
-   so any split of the list into ranges is race-free. *)
+   whose partner is [x = cand.(v) > v], merged by [merge_pair].  Pairs
+   are disjoint, so any split of the list into ranges is race-free. *)
 let pairs_delta st phase lo hi =
   let words = st.words and state = st.state in
   let cand = st.cand and pairs = st.pairs in
   let delta = ref 0 in
   for i = lo to hi - 1 do
     let v = pairs.(i) in
-    let dv = v * words and dx = cand.(v) * words in
-    let d =
-      if phase < 0 then exchange state words dv dx
-      else if phase = 0 then absorb state words dx dv
-      else absorb state words dv dx
-    in
-    delta := !delta + d
+    delta := !delta + merge_pair state words phase v cand.(v)
   done;
   !delta
 
@@ -192,6 +214,15 @@ let over_blocks workers len f =
       (fun b -> f (b * len / nblocks) ((b + 1) * len / nblocks))
       ( + ) 0
 
+(* The round's pairing index and merge phase, as [of_pairing] lays the
+   rounds out: pairing [r mod pairings] in full duplex (phase -1), and
+   in half duplex pairing [(r mod 2·pairings) / 2], phase [r mod 2]. *)
+let pairing_phase mode pairings round =
+  if mode = Protocol.Full_duplex then (round mod pairings, -1)
+  else
+    let r = round mod (2 * pairings) in
+    (r / 2, r mod 2)
+
 (* Refills [st.cand] only when the pairing instance changes — every
    round in full duplex, every second round in half duplex — staging
    [candidate p] once and applying it to every vertex over the vertex
@@ -200,9 +231,7 @@ let over_blocks workers len f =
    fill writes only its own block and finishes before the pass reads
    the table. *)
 let nominated_round workers st mode (pairings, candidate) round =
-  let full_duplex = mode = Protocol.Full_duplex in
-  let r = round mod (if full_duplex then pairings else 2 * pairings) in
-  let p = if full_duplex then r else r / 2 in
+  let p, phase = pairing_phase mode pairings round in
   (match st.cand_key with
   | Some (c, q) when c == candidate && q = p -> ()
   | _ ->
@@ -230,7 +259,6 @@ let nominated_round workers st mode (pairings, candidate) round =
       done;
       st.npairs <- !np;
       st.cand_key <- Some (candidate, p));
-  let phase = if full_duplex then -1 else r mod 2 in
   over_blocks workers st.npairs (pairs_delta st phase)
 
 let apply_round ?domains st sched round =
@@ -243,18 +271,25 @@ let apply_round ?domains st sched round =
     | Some d -> max 1 d
     | None -> Parallel.recommended_domains ()
   in
-  (* three arms: a tabled schedule merges from its period's sender
+  (* four arms: a tabled schedule merges from its period's sender
      tables, a proposal schedule from its candidate table's pair list,
-     and every other schedule stages [Schedule.sender sched round] once
-     per block and applies it per vertex *)
+     any other [of_pairing] schedule from its pairing, staged once per
+     block, and every other schedule stages [Schedule.sender sched
+     round] once per block and applies it per vertex *)
+  let mode = Schedule.mode sched in
   let delta =
-    match (Schedule.tables sched, Schedule.nomination sched) with
-    | Some tables, _ ->
+    match
+      (Schedule.tables sched, Schedule.nomination sched, Schedule.pairing sched)
+    with
+    | Some tables, _, _ ->
         let snd = tables.(round mod Array.length tables) in
         over_blocks workers st.n (tabled_block_delta st snd)
-    | None, Some nomination ->
-        nominated_round workers st (Schedule.mode sched) nomination round
-    | None, None ->
+    | None, Some nomination, _ -> nominated_round workers st mode nomination round
+    | None, None, Some (pairings, pairing) ->
+        let p, phase = pairing_phase mode pairings round in
+        over_blocks workers st.n (fun lo hi ->
+            pairing_delta st (pairing p) phase lo hi)
+    | None, None, None ->
         over_blocks workers st.n (fun lo hi ->
             block_delta st (Schedule.sender sched round) lo hi)
   in

@@ -4,24 +4,24 @@
     Exact gossip tracks all [n] items at every vertex — n² bits, ~125 GB
     at a million vertices.  This engine scales by tracking the
     dissemination of the first [items <= n] items only, in one
-    contiguous word array processed blockwise in parallel: memory stays
-    proportional to simulation state ([n·items] bits), and rounds come
-    from a {!Gossip_protocol.Schedule}, so nothing per-round is ever
-    materialized either.
+    contiguous buffer of 64-bit words processed blockwise in parallel:
+    memory stays proportional to simulation state ([n·items] bits), and
+    rounds come from a {!Gossip_protocol.Schedule}, so nothing per-round
+    is ever materialized either.
 
     With [items = n] a run is exact gossip under the whispering rule of
     Section 3 (the tests pin it bit for bit against a literal
     copy-then-union reference); {!Engine} runs materialized protocols
     this way, through {!Gossip_protocol.Schedule.of_systolic}.
     With [items = 1] a run is a broadcast of item 0; small [items]
-    (e.g. 64) is the scaling configuration.  Rounds are applied in
-    place: a matching's only same-round feedback is a full-duplex
-    exchange, which the owning block writes atomically with the shared
-    union of both sides, so the result is identical to
+    (e.g. 64, one word per vertex) is the scaling configuration.  Rounds
+    are applied in place: a matching's only same-round feedback is a
+    full-duplex exchange, which the owning block writes atomically with
+    the shared union of both sides, so the result is identical to
     start-of-round-snapshot semantics and deterministic for every
     worker count.
 
-    {b Three arms.}  A tabled schedule (one with
+    {b Four arms.}  A tabled schedule (one with
     {!Gossip_protocol.Schedule.tables}:
     {!Gossip_protocol.Schedule.of_systolic},
     {!Gossip_protocol.Schedule.tabulate},
@@ -36,26 +36,37 @@
     applying it to every vertex, and one ⌊n/2⌋-word list of the
     pairing's mutual pairs by their lower endpoints, built in one pass
     over the refilled buffer.  Every round of the pairing merges from
-    that list alone: a full-duplex pair exchanges, and in half duplex
-    the lower endpoint sends to the higher one in the pairing's first
-    round and the higher to the lower in its second.  Every other
-    schedule — structured colorings, fault-wrapped and
-    {!Gossip_protocol.Fault_tolerant} schedules — runs on the sender
-    path, which stages the round once
-    per vertex block ([Schedule.sender sched round], see
+    that list alone.  Every other schedule with a
+    {!Gossip_protocol.Schedule.pairing} — the structured colorings of
+    hypercube, cycle, torus and CCC — runs on the pairing arm: the round's
+    pairing is staged once per vertex block and called once per vertex
+    [v], and the pair [v < x = partner v] is merged once, by the block
+    that holds [v].  Both pair arms merge a pair as
+    {!Gossip_protocol.Schedule.of_pairing} splits it: a full-duplex pair
+    exchanges, and in half duplex the lower endpoint sends to the
+    higher one in the pairing's first round and the higher to the lower
+    in its second.  Every remaining schedule —
+    {!Gossip_protocol.Schedule.make},
+    {!Gossip_protocol.Schedule.with_drops} and the
+    {!Gossip_protocol.Fault_tolerant} wrappers — runs on the sender
+    path, which stages the round once per vertex block
+    ([Schedule.sender sched round], see
     {!Gossip_protocol.Schedule.sender}) and applies the staged function
-    to every vertex and to every receiver's sender.  All three arms
-    count newly-set bits with the one constant-time
-    {!Gossip_util.Bitset.popcount}.  The schedule selects the arm; all
-    three give the same rounds, coverage and state bits.  Memory is
-    [n·⌈items/63⌉] words of state, plus [n + ⌊n/2⌋] words once a
+    to every vertex and to every receiver's sender.  All four arms
+    count newly-set bits with the one constant-time {!popcount64}.  The
+    schedule selects the arm; all four give the same rounds, coverage
+    and state bits.  Memory is [n·⌈items/64⌉] 64-bit words of state
+    (8 MB at [n = 2^20] with 64 items), plus [n + ⌊n/2⌋] words once a
     proposal schedule has run on the state; a tabled schedule brings its
     own [n·period] words of tables.  At one worker a round is one block
     over all its vertices (or pairs); with more, it is split into a few
     blocks per worker.
 
     The sender-table arm applies the sender path's rule to the table's
-    entries, so it is race-free for the same reason.  The candidate
+    entries, so it is race-free for the same reason.  The pairing arm
+    is too: the pairing is an involution, so its pairs are disjoint,
+    and each pair is written only by the block that holds its lower
+    endpoint, so any block split writes disjoint rows.  The candidate
     arm is too: the fill writes each block's own entries and completes
     before the pair list is built, which completes before any merge;
     mutual nomination pairs each vertex with at most one partner, so
@@ -84,6 +95,11 @@ val items_known : state -> int
     beyond the tracked range are reported unknown. *)
 val knows : state -> int -> int -> bool
 
+(** [popcount64 w] is the number of set bits of the 64-bit word [w],
+    bit 63 (the sign bit) included: the constant-time SWAR count by which
+    every arm counts newly-set knowledge bits. *)
+val popcount64 : int64 -> int
+
 (** [coverage st] is [items_known / (n · items)] (1.0 when the state is
     empty) — with [items = n], the {!Engine} coverage. *)
 val coverage : state -> float
@@ -97,8 +113,9 @@ val complete : state -> bool
     schedule merges from [tables.(round mod period)]; a proposal
     schedule merges from the candidate table's pair list, which is
     rebuilt when [(candidate, pairing of round)] differs from what it
-    holds; every other
-    schedule runs on the sender path (see the module header).  Rounds
+    holds; any other schedule with a pairing merges each pair of the
+    round's pairing once; every other schedule runs on the sender path
+    (see the module header).  Rounds
     may come in any order and schedules may be interleaved on one
     state.
     @raise Invalid_argument when [sched] and [st] disagree on the

@@ -49,9 +49,8 @@ val inter : t -> t -> t
 
 (** [popcount w] is the number of set bits of the 63-bit word [w],
     bit 62 (the sign bit) included, so [popcount (-1) = 63] — the
-    count behind {!cardinal}, {!union_into_count} and the chunked
-    simulator's merges.  Constant time: a branch-free SWAR count, not a
-    loop over the set bits. *)
+    count behind {!cardinal} and {!union_into_count}.  Constant time: a
+    branch-free SWAR count, not a loop over the set bits. *)
 val popcount : int -> int
 
 (** [cardinal s] is the number of elements in [s]. *)

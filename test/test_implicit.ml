@@ -344,9 +344,9 @@ let same_knowledge a b =
   !same && Chunked.items_known a = Chunked.items_known b
 
 let test_nomination_only_on_proposals () =
-  (* [sender_path] relies on with_drops clearing the nomination: were it
-     kept, the comparisons below would pit the table path against
-     itself *)
+  (* [sender_path] relies on with_drops clearing the nomination and the
+     pairing: were either kept, the comparisons below would pit an arm
+     against itself *)
   let imp = Implicit.de_bruijn 2 5 in
   let prop = Schedule.proposal imp ~period:4 ~seed:1 ~full_duplex:false in
   check "proposal carries its nomination" true
@@ -362,7 +362,55 @@ let test_nomination_only_on_proposals () =
       ( "of_systolic",
         Schedule.of_systolic
           (Builders.edge_coloring_half_duplex (Families.hypercube 3)) );
+    ];
+  (* every of_pairing schedule carries its pairing, and nothing built
+     from one by a transform keeps it *)
+  let paired =
+    [
+      ("proposal", prop, 4);
+      ("hypercube sweep", Schedule.hypercube_sweep ~dim:5 ~full_duplex:false, 5);
+      ("cycle 9", Schedule.cycle_alternating ~n:9 ~full_duplex:true, 3);
+      ("cycle 10", Schedule.cycle_alternating ~n:10 ~full_duplex:false, 2);
+      ("torus", Schedule.torus_colored ~rows:3 ~cols:4 ~full_duplex:true, 5);
+      ("ccc", Schedule.ccc_colored ~dim:3 ~full_duplex:false, 4);
     ]
+  in
+  List.iter
+    (fun (name, sched, pairings) ->
+      check (name ^ " carries its pairing") true
+        (match Schedule.pairing sched with
+        | Some (p, _) -> p = pairings
+        | None -> false);
+      List.iter
+        (fun (transform, t) ->
+          check
+            (Printf.sprintf "%s %s has no pairing" name transform)
+            true
+            (Schedule.pairing t = None))
+        [
+          ("with_drops", sender_path sched);
+          ("tabulate", Schedule.tabulate sched);
+          ("without_arcs", Schedule.without_arcs sched []);
+          ("replicate", fst (Fault_tolerant.replicate sched ~k:1));
+          ("concat", Fault_tolerant.concat sched sched);
+          ( "make",
+            Schedule.make ~name ~n:(Schedule.n_vertices sched)
+              ~mode:(Schedule.mode sched) ~period:(Schedule.period sched)
+              ~sender:(Schedule.sender sched) );
+        ])
+    paired;
+  check "augment has no pairing" true
+    (Schedule.pairing
+       (fst
+          (Fault_tolerant.augment
+             (Schedule.cycle_alternating ~n:12 ~full_duplex:false)
+             ~k:1))
+    = None);
+  check "of_systolic has no pairing" true
+    (Schedule.pairing
+       (Schedule.of_systolic
+          (Builders.edge_coloring_half_duplex (Families.hypercube 3)))
+    = None)
 
 let gen_nominated_case =
   QCheck.Gen.(
@@ -929,6 +977,118 @@ let test_kautz_slots_name_strings () =
       done)
     [ 2; 3; 4 ]
 
+(* --- the pairing arm and 64-bit knowledge words --- *)
+
+(* The structured colorings, which run on the pairing arm: hypercube
+   sweeps, cycles of both parities, tori and CCC, in both duplex modes,
+   some above 128 vertices so that every tracked item count below is
+   reached. *)
+let gen_paired_schedule =
+  QCheck.Gen.(
+    let* full_duplex = bool in
+    oneof
+      [
+        (let* dim = int_range 1 8 in
+         return (Schedule.hypercube_sweep ~dim ~full_duplex));
+        (let* n = int_range 3 140 in
+         return (Schedule.cycle_alternating ~n ~full_duplex));
+        (let* rows = int_range 3 12 in
+         let* cols = int_range 3 12 in
+         return (Schedule.torus_colored ~rows ~cols ~full_duplex));
+        (let* dim = int_range 3 5 in
+         return (Schedule.ccc_colored ~dim ~full_duplex));
+      ])
+
+let prop_pairing_arm_matches_sender_path =
+  QCheck.Test.make ~name:"pairing arm = sender path, bit for bit" ~count:120
+    (QCheck.make
+       ~print:(fun (sched, items, domains) ->
+         Printf.sprintf "%s %s items=%s domains=%d" (Schedule.name sched)
+           (Protocol.mode_to_string (Schedule.mode sched))
+           (match items with None -> "n" | Some k -> string_of_int k)
+           domains)
+       QCheck.Gen.(
+         triple gen_paired_schedule
+           (oneofl
+              [ Some 0; Some 1; Some 63; Some 64; Some 65; Some 127; Some 128;
+                None ])
+           (oneofl [ 1; 2; 4 ])))
+    (fun (sched, items, domains) ->
+      (* were the sender path paired too, the arm would meet itself *)
+      Schedule.pairing sched <> None
+      && Schedule.pairing (sender_path sched) = None
+      && same_runs
+           (chunked_run ?items ~domains sched)
+           (chunked_run ?items (sender_path sched)))
+
+let test_word_boundary () =
+  (* 64 items per word: item 63 is the top (sign) bit of word 0 and
+     item 64 the lowest bit of word 1 *)
+  let st = Chunked.create ~items:65 65 in
+  check_int "65 items known" 65 (Chunked.items_known st);
+  check "v63 knows item 63" true (Chunked.knows st 63 63);
+  check "v64 knows item 64" true (Chunked.knows st 64 64);
+  check "v63 not item 64" false (Chunked.knows st 63 64);
+  check "v64 not item 63" false (Chunked.knows st 64 63);
+  check "item 65 is beyond the range" false (Chunked.knows st 64 65);
+  (* 63 <-> 64 exchange across the boundary, and 0 <- 63 absorbs the
+     sign bit alone *)
+  let sched =
+    Schedule.make ~name:"boundary" ~n:65 ~mode:Protocol.Full_duplex ~period:1
+      ~sender:(fun _ v ->
+        match v with 63 -> 64 | 64 -> 63 | 0 -> 63 | _ -> -1)
+  in
+  Chunked.apply_round ~domains:1 st sched 0;
+  check "v63 learned item 64" true (Chunked.knows st 63 64);
+  check "v64 learned item 63" true (Chunked.knows st 64 63);
+  check "v0 learned item 63" true (Chunked.knows st 0 63);
+  check "v0 did not learn item 64" false (Chunked.knows st 0 64);
+  check_int "three new bits counted" 68 (Chunked.items_known st);
+  (* one word per vertex at 64 items, two at 65 *)
+  let words items =
+    Obj.reachable_words (Obj.repr (Chunked.create ~items 1024))
+  in
+  check "64 items take one word per vertex" true
+    (words 64 > 1024 && words 64 < 1024 + 64);
+  check "65 items take two" true
+    (words 65 > 2048 && words 65 < 2048 + 64);
+  (* complete runs over 63, 64, 65 and 128 items count every bit *)
+  List.iter
+    (fun items ->
+      let st, o =
+        chunked_run ~items (Schedule.hypercube_sweep ~dim:8 ~full_duplex:false)
+      in
+      check (Printf.sprintf "%d items complete" items) true
+        (o.Chunked.time <> None);
+      check_int (Printf.sprintf "%d items all known" items) (256 * items)
+        (Chunked.items_known st);
+      check (Printf.sprintf "%d items: v255 knows the last" items) true
+        (Chunked.knows st 255 (items - 1)))
+    [ 63; 64; 65; 128 ]
+
+let popcount64_reference x =
+  let c = ref 0 in
+  for i = 0 to 63 do
+    if Int64.logand (Int64.shift_right_logical x i) 1L <> 0L then incr c
+  done;
+  !c
+
+let prop_popcount64_matches_bit_loop =
+  QCheck.Test.make ~name:"int64 popcount = bit loop" ~count:2000
+    (QCheck.make ~print:Int64.to_string
+       QCheck.Gen.(
+         oneof
+           [
+             ui64;
+             map Int64.neg ui64;
+             oneofl [ 0L; -1L; Int64.min_int; Int64.max_int; 1L ];
+             map (fun i -> Int64.shift_left 1L i) (int_range 0 63);
+             map
+               (fun i -> Int64.logor Int64.min_int (Int64.shift_left 1L i))
+               (int_range 0 63);
+           ]))
+    (fun x -> Chunked.popcount64 x = popcount64_reference x)
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -959,4 +1119,7 @@ let suite =
     ("complete before the first round", `Quick, test_complete_before_first_round);
     ("proposal nominees match their definition", `Quick, test_proposal_nominees);
     ("kautz slots name their strings", `Quick, test_kautz_slots_name_strings);
+    QCheck_alcotest.to_alcotest prop_pairing_arm_matches_sender_path;
+    ("knowledge words at the 64-item boundary", `Quick, test_word_boundary);
+    QCheck_alcotest.to_alcotest prop_popcount64_matches_bit_loop;
   ]

@@ -268,7 +268,17 @@ let gen_small_matrix =
     let* data = array_size (return (n * m)) (float_bound_inclusive 1.0) in
     return (Dense.init n m (fun i j -> data.((i * m) + j))))
 
-let arb_small_matrix = QCheck.make gen_small_matrix
+(* Shape, then every entry to 17 significant digits, which round-trips
+   a float: a failing case prints the exact matrices it ran on. *)
+let print_small_matrix m =
+  Printf.sprintf "%dx%d [%s]" (Dense.rows m) (Dense.cols m)
+    (String.concat "; "
+       (List.init (Dense.rows m) (fun i ->
+            String.concat " "
+              (List.init (Dense.cols m) (fun j ->
+                   Printf.sprintf "%.17g" (Dense.get m i j))))))
+
+let arb_small_matrix = QCheck.make ~print:print_small_matrix gen_small_matrix
 
 let prop_norm_nonneg_zero =
   QCheck.Test.make ~name:"norm >= 0, = 0 iff M = 0 (props 1-2)" ~count:100

@@ -37,11 +37,12 @@
    `gave_ups` count of calls whose retries ran out.
 
    Every request must be accounted for exactly once — success, explicit
-   server error, protocol error, or gave-up; the report's `unaccounted`
-   field is the difference and any non-zero value fails the run.  That
-   is the chaos soak's headline guarantee: injected faults may slow
-   calls down or fail them *explicitly*, but can never lose one
-   silently.
+   server error, protocol error, connect failure (a request never sent
+   because its connection could not be opened), or gave-up; the
+   report's `unaccounted` field is the difference and any non-zero
+   value fails the run.  That is the chaos soak's headline guarantee:
+   injected faults may slow calls down or fail them *explicitly*, but
+   can never lose one silently.
 
    The server totals are cross-checked against the client-side per-op
    counts: because the server records each request before sending its
@@ -53,7 +54,8 @@
 
    Exit status: 0 on a clean run; 1 when any reply was dropped or
    garbled (a *protocol* error — valid error replies such as queue_full
-   are counted separately, not failures), when any request is
+   are counted separately, not failures), when any connection could not
+   be opened (its requests are connect failures), when any request is
    unaccounted, when the metrics cross-check fails on an otherwise
    clean run, or when --require-cache-hits / --expect-healthy /
    --min-restarts is not met.  Used by CI as the end-to-end gate
@@ -268,6 +270,9 @@ let parse_args () =
 type tally = {
   mutable ok : int;
   mutable protocol_errors : int;
+      (* garbled or dropped replies and id mismatches *)
+  mutable connect_failures : int;
+      (* requests never sent: their connection could not be opened *)
   mutable gave_ups : int;  (* chaos mode: retries/budget ran out *)
   by_code : (string, int) Hashtbl.t;
   by_op : (string, int * float) Hashtbl.t;  (* count, summed ms *)
@@ -335,14 +340,18 @@ let trace_id_if_sampled trace =
       Some tr.Gossip_util.Trace.trace_id
   | _ -> None
 
+(* A connection that could not be opened sends none of its [count]
+   requests: they are connect failures, not protocol errors. *)
+let connect_failed tally ~conn_index ~count e =
+  Mutex.lock tally.mu;
+  tally.connect_failures <- tally.connect_failures + count;
+  Mutex.unlock tally.mu;
+  Printf.eprintf "loadgen: connection %d failed: %s\n%!" conn_index
+    (Printexc.to_string e)
+
 let run_connection args tally ~conn_index ~first ~count =
   match Serve.Client.connect_retry args.target with
-  | exception e ->
-      Mutex.lock tally.mu;
-      tally.protocol_errors <- tally.protocol_errors + count;
-      Mutex.unlock tally.mu;
-      Printf.eprintf "loadgen: connection %d failed: %s\n%!" conn_index
-        (Printexc.to_string e)
+  | exception e -> connect_failed tally ~conn_index ~count e
   | client ->
       for k = 0 to count - 1 do
         let i = first + k in
@@ -391,12 +400,7 @@ let run_connection_resilient args tally ~conn_index ~first ~count =
     Serve.Resilient_client.connect ~policy ~seed:(0x10ad + conn_index)
       args.target
   with
-  | exception e ->
-      Mutex.lock tally.mu;
-      tally.protocol_errors <- tally.protocol_errors + count;
-      Mutex.unlock tally.mu;
-      Printf.eprintf "loadgen: connection %d failed: %s\n%!" conn_index
-        (Printexc.to_string e)
+  | exception e -> connect_failed tally ~conn_index ~count e
   | client ->
       for k = 0 to count - 1 do
         let i = first + k in
@@ -649,6 +653,7 @@ let () =
     {
       ok = 0;
       protocol_errors = 0;
+      connect_failures = 0;
       gave_ups = 0;
       by_code = Hashtbl.create 8;
       by_op = Hashtbl.create 8;
@@ -739,7 +744,7 @@ let () =
   in
   let unaccounted =
     args.requests - tally.ok - errors_by_code_total - tally.protocol_errors
-    - tally.gave_ups
+    - tally.connect_failures - tally.gave_ups
   in
   let worker_restarts =
     Option.bind router_metrics (fun m ->
@@ -762,6 +767,7 @@ let () =
         ("requests", Json.Int args.requests);
         ("ok", Json.Int tally.ok);
         ("protocol_errors", Json.Int tally.protocol_errors);
+        ("connect_failures", Json.Int tally.connect_failures);
         ("gave_ups", Json.Int tally.gave_ups);
         ("unaccounted", Json.Int unaccounted);
         ("chaos_tolerant", Json.Bool args.chaos_tolerant);
@@ -855,8 +861,9 @@ let () =
         Printf.printf "  %10.3f ms  %-10s trace_id=%s\n" ms op tid)
       slowest_traced
   end;
-  if tally.protocol_errors > 0 then begin
-    Printf.eprintf "loadgen: %d protocol errors\n%!" tally.protocol_errors;
+  if tally.protocol_errors > 0 || tally.connect_failures > 0 then begin
+    Printf.eprintf "loadgen: %d protocol errors, %d connect failures\n%!"
+      tally.protocol_errors tally.connect_failures;
     exit 1
   end;
   if unaccounted <> 0 then begin
