@@ -367,10 +367,10 @@ let run_norm_sweep () =
   List.map
     (fun lambda ->
       ( lambda,
-        Context.norm ctx dg_hd lambda,
+        (Context.norm ctx dg_hd lambda).Spectral.lower,
         Delay_matrix.closed_form_bound ~mode:Protocol.Protocol.Half_duplex
           ~window:s lambda,
-        Context.norm ctx dg_fd lambda,
+        (Context.norm ctx dg_fd lambda).Spectral.lower,
         Delay_matrix.closed_form_bound ~mode:Protocol.Protocol.Full_duplex
           ~window:s lambda ))
     [ 0.2; 0.3; 0.4; 0.5; 0.6; 0.637; 0.7; 0.8 ]

@@ -29,11 +29,11 @@ let norm_function_fd_inf lambda =
 let solve_unit f =
   Numeric.brent ~tol:1e-14 ~lo:1e-9 ~hi:(1.0 -. 1e-9) (fun l -> f l -. 1.0)
 
-let lambda_star s = solve_unit (norm_function s)
+let lambda_star s = (solve_unit (norm_function s)).Numeric.root
 
 let lambda_star_inf = 1.0 /. Numeric.phi
 
-let lambda_star_fd s = solve_unit (norm_function_fd s)
+let lambda_star_fd s = (solve_unit (norm_function_fd s)).Numeric.root
 
 let lambda_star_fd_inf = 0.5
 
@@ -59,5 +59,6 @@ let lambda_star_poly s =
   let hi = (s + 1) / 2 and lo = s / 2 in
   let square = Poly.mul (Poly.monomial 2 1.0) in
   let p = square (Poly.mul (Poly.delay hi) (Poly.delay lo)) in
-  Numeric.bisect ~tol:1e-14 ~lo:1e-9 ~hi:(1.0 -. 1e-9) (fun l ->
-      Poly.eval p l -. 1.0)
+  (Numeric.bisect ~tol:1e-14 ~lo:1e-9 ~hi:(1.0 -. 1e-9) (fun l ->
+       Poly.eval p l -. 1.0))
+    .Numeric.root

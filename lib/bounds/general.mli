@@ -29,6 +29,13 @@ val norm_function_fd : int -> float -> float
 (** [norm_function_fd_inf lambda] is [λ/(1-λ)]. *)
 val norm_function_fd_inf : float -> float
 
+(** [solve_unit f] is the bracketed Brent solve of [f λ = 1] on
+    [(1e-9, 1 - 1e-9)] to [1e-14] behind every λ* root: {!lambda_star},
+    {!lambda_star_fd} and the admissible end of
+    {!Separator_bounds.maximize}.  Its [converged] flag says whether the
+    root met that tolerance. *)
+val solve_unit : (float -> float) -> Gossip_util.Numeric.root
+
 (** [lambda_star s] is the unique [λ ∈ (0,1)] with
     [norm_function s λ = 1]. *)
 val lambda_star : int -> float

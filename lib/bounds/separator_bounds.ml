@@ -4,9 +4,7 @@ let maximize ~alpha ~ell ~f =
   (* The admissible region is (0, λ_star] with f(λ_star) = 1; the objective is
      smooth there, and grid + golden refinement is robust to the flat
      regions near both ends. *)
-  let lambda_star =
-    Numeric.brent ~tol:1e-14 ~lo:1e-9 ~hi:(1.0 -. 1e-9) (fun l -> f l -. 1.0)
-  in
+  let lambda_star = (General.solve_unit f).Numeric.root in
   let objective lambda =
     if lambda <= 0.0 || lambda >= 1.0 then neg_infinity
     else

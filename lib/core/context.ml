@@ -72,7 +72,7 @@ type t = {
   mutable n_evictions : int;
   diameters : (string, int entry) Hashtbl.t;
   dgs : (string * int, Delay_digraph.t entry) Hashtbl.t;
-  norms : (string * float, float entry) Hashtbl.t;
+  norms : (string * float, Gossip_linalg.Spectral.bracket entry) Hashtbl.t;
   lambdas : (string * int, float entry) Hashtbl.t;
   times : (string * int, int option entry) Hashtbl.t;
   fault_certs :

@@ -79,12 +79,13 @@ val diameter : t -> Gossip_topology.Digraph.t -> int
 val delay_digraph :
   t -> Gossip_protocol.Systolic.t -> length:int -> Gossip_delay.Delay_digraph.t
 
-(** [norm ctx dg lambda] — [‖M(λ)‖] by
+(** [norm ctx dg lambda] — the bracket on [‖M(λ)‖] from
     {!Gossip_delay.Delay_matrix.norm_blockwise}, cached per (delay
     digraph, λ).  This is the pipeline's hottest artifact: certificate λ
     sweeps, refinement passes and norm tables all query it repeatedly at
     identical λ. *)
-val norm : t -> Gossip_delay.Delay_digraph.t -> float -> float
+val norm :
+  t -> Gossip_delay.Delay_digraph.t -> float -> Gossip_linalg.Spectral.bracket
 
 (** [lambda_star ctx ~mode s] — the critical root [λ*(s)] of the mode's
     norm function ({!Gossip_bounds.General.lambda_star} /

@@ -1,8 +1,12 @@
 module Protocol = Gossip_protocol.Protocol
+module Spectral = Gossip_linalg.Spectral
 
 type t = {
   lambda : float;
   norm : float;
+  norm_lower : float;
+  iterations : int;
+  converged : bool;
   closed_form : float;
   bound : int;
   activations : int;
@@ -63,7 +67,10 @@ let certify_generic ?(refine = false)
   let best = ref None in
   let consider lambda =
     if lambda > 0.0 && lambda < 1.0 then begin
-      let nu = norm dg lambda in
+      (* Theorem 4.1 needs ν ≥ ‖M(λ)‖: certify from the bracket's upper
+         end, never from the estimate below it *)
+      let b = norm dg lambda in
+      let nu = b.Spectral.upper in
       let bound =
         smallest_feasible ~nu ~lambda ~pairs ~m1 ~m2 ~start:(start_of ())
           ~horizon
@@ -73,6 +80,9 @@ let certify_generic ?(refine = false)
         {
           lambda;
           norm = nu;
+          norm_lower = b.Spectral.lower;
+          iterations = b.Spectral.iterations;
+          converged = b.Spectral.converged;
           closed_form;
           bound;
           activations = Delay_digraph.n_activations dg;
@@ -158,6 +168,9 @@ let to_json c =
       ("bound", J.Int c.bound);
       ("lambda", J.Float c.lambda);
       ("norm", J.Float c.norm);
+      ("norm_lower", J.Float c.norm_lower);
       ("closed_form", J.Float c.closed_form);
       ("activations", J.Int c.activations);
+      ("iterations", J.Int c.iterations);
+      ("converged", J.Bool c.converged);
     ]

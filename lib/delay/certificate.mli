@@ -16,11 +16,24 @@
 
     [ν^(d-1) + ... + ν^t ≥ λ^t · c / t]  with  [c = min(|V1|, |V2|)].
 
-    The certificate search maximizes the bound over a λ grid. *)
+    The certificate search maximizes the bound over a λ grid.  The
+    inequality needs [ν ≥ ‖M(λ)‖]: a smaller ν rules out more round
+    counts, so ν is the upper end of a rigorous bracket
+    ({!Delay_matrix.norm_blockwise}), never an iterative estimate that
+    approaches the norm from below. *)
 
 type t = {
   lambda : float;  (** the λ achieving the best bound *)
-  norm : float;  (** [‖M(λ)‖] at that λ *)
+  norm : float;
+      (** the certified [ν ≥ ‖M(λ)‖] at that λ: the bracket's upper
+          end *)
+  norm_lower : float;
+      (** the bracket's lower end, a power-iteration estimate of
+          [‖M(λ)‖] from below *)
+  iterations : int;  (** power steps the bracket took at that λ *)
+  converged : bool;
+      (** every component solve at that λ stopped before its step cap;
+          [false] leaves [norm] sound, only less tight *)
   closed_form : float;  (** Lemma 4.3 / 6.1 closed-form bound on the norm *)
   bound : int;  (** certified lower bound on the gossip time *)
   activations : int;  (** [m] over the analyzed horizon *)
@@ -32,14 +45,15 @@ type t = {
     second, finer λ grid is scanned around the coarse winner — the bound
     can only improve; [mode] selects the closed-form comparison (it does
     not change the numeric norm).  [norm], when given, replaces the
-    default [‖M(λ)‖] evaluator ({!Delay_matrix.norm_blockwise}) — the
+    default [‖M(λ)‖] bracket ({!Delay_matrix.norm_blockwise}) — the
     memoizing analysis context injects its cached evaluator here, so
     repeated λ sweeps over the same delay digraph reuse norm solves.
-    Any replacement must compute the same quantity or the certificate is
-    unsound. *)
+    The bound is computed from the bracket's [upper] alone; any
+    replacement's [upper] must bound [‖M(λ)‖] from above or the
+    certificate is unsound. *)
 val certify :
   ?refine:bool ->
-  ?norm:(Delay_digraph.t -> float -> float) ->
+  ?norm:(Delay_digraph.t -> float -> Gossip_linalg.Spectral.bracket) ->
   Delay_digraph.t ->
   mode:Gossip_protocol.Protocol.mode ->
   t
@@ -60,7 +74,8 @@ val impossible_t :
   nu:float -> lambda:float -> pairs:float -> m:float -> start:int -> int -> bool
 
 (** [to_json c] — the certificate as a JSON object
-    [{bound, lambda, norm, closed_form, activations}], the
+    [{bound, lambda, norm, norm_lower, closed_form, activations,
+    iterations, converged}], the
     machine-readable form used by the [--json] CLI modes and the bench
     report. *)
 val to_json : t -> Gossip_util.Json.t

@@ -65,13 +65,20 @@ let norm_blockwise ?domains dg lambda =
   Gossip_util.Instrument.span "delay.norm-blockwise" (fun () ->
       let window = Delay_digraph.window dg in
       let patterns = distinct_patterns dg in
-      let block_norm k =
-        Spectral.norm2_dense (block_of_pattern ~window lambda patterns.(k))
+      let block_bracket k =
+        Spectral.norm2_bracket (block_of_pattern ~window lambda patterns.(k))
       in
-      (* Fused per-worker reduction over the distinct blocks: max is exact,
-         so it equals the max over every vertex bit for bit. *)
-      Gossip_util.Parallel.reduce ?domains (Array.length patterns) block_norm
-        Float.max 0.0)
+      (* Fused per-worker reduction over the distinct blocks: every field
+         of [bracket_max] is exact, so the result is the per-vertex
+         bracket bit for bit at any domain count. *)
+      let b =
+        Gossip_util.Parallel.reduce ?domains (Array.length patterns)
+          block_bracket Spectral.bracket_max Spectral.zero_bracket
+      in
+      Gossip_util.Instrument.add "delay.iterations" b.Spectral.iterations;
+      Gossip_util.Instrument.add "delay.unconverged"
+        (if b.Spectral.converged then 0 else 1);
+      b)
 
 let closed_form_bound ~mode ~window lambda =
   check_lambda lambda;

@@ -23,23 +23,37 @@ val sparse : Delay_digraph.t -> float -> Gossip_linalg.Sparse.t
     [λ^(j-i)] when [1 ≤ j - i < window]. *)
 val vertex_block : Delay_digraph.t -> float -> int -> Gossip_linalg.Dense.t
 
-(** [norm dg lambda] is [‖M(λ)‖] by power iteration on the global
-    sparse matrix. *)
+(** [norm dg lambda] is an estimate of [‖M(λ)‖] from below, by power
+    iteration on the global sparse matrix.  It is the reference that
+    {!norm_blockwise} is checked against, not a certified value. *)
 val norm : Delay_digraph.t -> float -> float
 
-(** [norm_blockwise ?domains dg lambda] is [max_x ‖Mx(λ)‖] —
-    equal to {!norm} by norm property 8, but cheaper on large networks
-    since the blocks are small.
+(** [norm_blockwise ?domains dg lambda] brackets [max_x ‖Mx(λ)‖], which
+    equals [‖M(λ)‖] by norm property 8: the max over the blocks of
+    {!Gossip_linalg.Spectral.norm2_bracket}, which splits each block's
+    Gram matrix into connected components and solves each on its own.
+    [upper] is a rigorous upper bound on [‖M(λ)‖] and is what a
+    certificate may use; [lower] is the estimate from below that
+    {!norm} approximates.
 
     [Mx(λ)] depends only on the rounds of [x]'s in- and out-activations,
     up to a common shift: its entries are [λ] to round differences.  So
     the call solves one block per distinct (in-round, out-round) pattern
     and runs in parallel over those patterns ([domains] defaults to
-    {!Gossip_util.Parallel.recommended_domains}).  The result is the
-    per-vertex max bit for bit.  Each call adds its vertex count to the
-    {!Gossip_util.Instrument} counter [delay.blocks] and its pattern
-    count to [delay.blocks.distinct]. *)
-val norm_blockwise : ?domains:int -> Delay_digraph.t -> float -> float
+    {!Gossip_util.Parallel.recommended_domains}).  The reduction takes
+    the max of [lower], the max of [upper], the sum of [iterations] and
+    the conjunction of [converged]; all four are exact, so the result is
+    bit for bit the same at any domain count.  [lower], [upper] and
+    [converged] are the per-vertex fold's; [iterations] counts each
+    distinct pattern's solve once.
+
+    Each call adds, on the calling domain, its vertex count to the
+    {!Gossip_util.Instrument} counter [delay.blocks], its pattern count
+    to [delay.blocks.distinct], its summed power steps to
+    [delay.iterations], and 1 to [delay.unconverged] when some component
+    solve reached the step cap. *)
+val norm_blockwise :
+  ?domains:int -> Delay_digraph.t -> float -> Gossip_linalg.Spectral.bracket
 
 (** [closed_form_bound ~mode ~window lambda] is the paper's closed-form
     upper bound on [‖M(λ)‖]:

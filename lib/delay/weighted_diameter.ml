@@ -85,7 +85,12 @@ let lower_bound ?(lambdas = default_lambdas) w =
     List.iter
       (fun lambda ->
         if lambda > 0.0 && lambda < 1.0 then begin
-          let nu = Spectral.norm2_sparse (matrix w lambda) in
+          (* a larger ν only weakens the bound, so take the bracket's
+             rigorous upper end, never an estimate from below *)
+          let nu =
+            (Spectral.norm2_bracket (Sparse.to_dense (matrix w lambda)))
+              .Spectral.upper
+          in
           if nu < 1.0 && nu > 0.0 then begin
             let bound =
               (log2 (float_of_int (w.n - 1)) -. log2 (nu /. (1.0 -. nu)))

@@ -15,7 +15,9 @@
     [ν / (1 - ν)  ≥  ‖Σ B^k‖  ≥  λ^D·(n - 1)]
 
     hence [D ≥ (log₂(n - 1) - log₂(ν/(1 - ν))) / log₂(1/λ)].  Maximizing
-    over λ gives the bound. *)
+    over λ gives the bound.  The bound falls as ν grows, so ν is the
+    rigorous upper end of {!Gossip_linalg.Spectral.norm2_bracket}, not
+    a power-iteration estimate from below. *)
 
 (** A weighted digraph: arcs with positive integer weights.  Duplicate
     arcs are rejected. *)

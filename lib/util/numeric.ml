@@ -14,18 +14,24 @@ let check_bracket name lo hi flo fhi =
       (Printf.sprintf "%s: f(%g)=%g and f(%g)=%g do not bracket a root" name
          lo flo hi fhi)
 
+type root = { root : float; lo : float; hi : float; converged : bool }
+
+let max_root_steps = 200
+
 let bisect ?(tol = default_tol) ~lo ~hi f =
   let flo = f lo and fhi = f hi in
   check_bracket "Numeric.bisect" lo hi flo fhi;
-  if flo = 0.0 then lo
-  else if fhi = 0.0 then hi
+  let exact x = { root = x; lo = x; hi = x; converged = true } in
+  if flo = 0.0 then exact lo
+  else if fhi = 0.0 then exact hi
   else
     let rec go lo hi flo iterations =
       let mid = 0.5 *. (lo +. hi) in
-      if hi -. lo <= tol || iterations > 200 then mid
+      if hi -. lo <= tol || iterations > max_root_steps then
+        { root = mid; lo; hi; converged = hi -. lo <= tol }
       else
         let fmid = f mid in
-        if fmid = 0.0 then mid
+        if fmid = 0.0 then exact mid
         else if flo *. fmid < 0.0 then go lo mid flo (iterations + 1)
         else go mid hi fmid (iterations + 1)
     in
@@ -38,8 +44,8 @@ let bisect ?(tol = default_tol) ~lo ~hi f =
 let brent ?(tol = default_tol) ~lo ~hi f =
   let fa = f lo and fb = f hi in
   check_bracket "Numeric.brent" lo hi fa fb;
-  if fa = 0.0 then lo
-  else if fb = 0.0 then hi
+  if fa = 0.0 then { root = lo; lo; hi = lo; converged = true }
+  else if fb = 0.0 then { root = hi; lo = hi; hi; converged = true }
   else begin
     let a = ref lo and b = ref hi and fa = ref fa and fb = ref fb in
     if Float.abs !fa < Float.abs !fb then begin
@@ -48,11 +54,11 @@ let brent ?(tol = default_tol) ~lo ~hi f =
     end;
     let c = ref !a and fc = ref !fa in
     let d = ref (!b -. !a) and mflag = ref true in
-    let result = ref !b in
+    let converged = ref false in
     (try
-       for _ = 1 to 200 do
+       for _ = 1 to max_root_steps do
          if !fb = 0.0 || Float.abs (!b -. !a) <= tol then begin
-           result := !b;
+           converged := true;
            raise Exit
          end;
          let s =
@@ -86,11 +92,19 @@ let brent ?(tol = default_tol) ~lo ~hi f =
          if Float.abs !fa < Float.abs !fb then begin
            let t = !a in a := !b; b := t;
            let t = !fa in fa := !fb; fb := t
-         end;
-         result := !b
+         end
        done
      with Exit -> ());
-    !result
+    (* (a, b) brackets the root throughout and b has the smaller
+       residual; a zero residual is the root itself *)
+    if !fb = 0.0 then { root = !b; lo = !b; hi = !b; converged = true }
+    else
+      {
+        root = !b;
+        lo = Float.min !a !b;
+        hi = Float.max !a !b;
+        converged = !converged;
+      }
   end
 
 let golden_max ?(tol = default_tol) ~lo ~hi f =

@@ -11,15 +11,29 @@
 (** Default absolute tolerance used by the solvers ([1e-12]). *)
 val default_tol : float
 
+(** A root solve's account of itself: the estimate callers use, an
+    interval [lo, hi] that brackets the root, and whether the stopping
+    rule fired within the step cap (200 steps).  A solve that ran out of
+    steps still brackets the root, only more widely than [tol]. *)
+type root = {
+  root : float;  (** the estimate *)
+  lo : float;
+  hi : float;  (** [lo ≤ root ≤ hi], and [f] changes sign on [lo, hi] *)
+  converged : bool;
+}
+
 (** [bisect ?tol ~lo ~hi f] finds [x] in [lo, hi] with [f x = 0], assuming
-    [f lo] and [f hi] have opposite signs (one may be zero).
+    [f lo] and [f hi] have opposite signs (one may be zero).  The
+    estimate is the final bracket's midpoint; it converged when the
+    bracket is at most [tol] wide or a probe hit [f = 0] exactly.
     @raise Invalid_argument if the bracket is invalid. *)
-val bisect : ?tol:float -> lo:float -> hi:float -> (float -> float) -> float
+val bisect : ?tol:float -> lo:float -> hi:float -> (float -> float) -> root
 
 (** [brent ?tol ~lo ~hi f] is a faster bracketed root finder (inverse
     quadratic interpolation with bisection fallback), same contract as
-    {!bisect}. *)
-val brent : ?tol:float -> lo:float -> hi:float -> (float -> float) -> float
+    {!bisect}.  The estimate is the bracket end with the smaller
+    residual. *)
+val brent : ?tol:float -> lo:float -> hi:float -> (float -> float) -> root
 
 (** [golden_max ?tol ~lo ~hi f] maximizes the unimodal [f] on [lo, hi] and
     returns [(argmax, max)]. *)

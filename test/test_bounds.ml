@@ -255,6 +255,25 @@ let prop_separator_e_decreasing =
       let v8 = Separator_bounds.e_half_duplex ~alpha ~ell ~s:8 in
       v5 >= v6 -. 1e-6 && v6 >= v8 -. 1e-6)
 
+(* Every λ* root behind the paper tables — the general rows and the
+   separator maximizations, half and full duplex, s = 3 … 16 and s → ∞,
+   checked here up to s = 64 — met its tolerance instead of running out
+   of steps. *)
+let test_table_roots_converged () =
+  let converged name f =
+    let r = General.solve_unit f in
+    check (name ^ " converged") true r.Numeric.converged;
+    check (name ^ " bracketed") true
+      (r.Numeric.lo <= r.Numeric.root && r.Numeric.root <= r.Numeric.hi
+      && r.Numeric.hi -. r.Numeric.lo <= 1e-14)
+  in
+  for s = 3 to 64 do
+    converged (Printf.sprintf "lambda*(%d)" s) (General.norm_function s);
+    converged (Printf.sprintf "lambda*_fd(%d)" s) (General.norm_function_fd s)
+  done;
+  converged "lambda*(inf)" General.norm_function_inf;
+  converged "lambda*_fd(inf)" General.norm_function_fd_inf
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -279,4 +298,6 @@ let suite =
     ("catalog builders/separators", `Quick, test_catalog_builders_and_separators);
     q prop_alpha_ell_product;
     q prop_separator_e_decreasing;
+    (* Appended last so the indices of the cases above stay as they were. *)
+    ("table roots converged", `Quick, test_table_roots_converged);
   ]

@@ -14,6 +14,7 @@ module Builders = Gossip_protocol.Builders
 module Engine = Gossip_simulate.Engine
 module Delay_digraph = Gossip_delay.Delay_digraph
 module Delay_matrix = Gossip_delay.Delay_matrix
+module Spectral = Gossip_linalg.Spectral
 module Certificate = Gossip_delay.Certificate
 module General = Gossip_bounds.General
 module Oracle = Gossip_bounds.Oracle
@@ -33,8 +34,12 @@ let test_norm_cache_hit () =
   let s2 = Context.stats ctx in
   check_int "repeated eval hits" 1 s2.Context.hits;
   check_int "no extra miss" 1 s2.Context.misses;
+  let bits = Int64.bits_of_float in
   check "cached value bit-identical" true
-    (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b));
+    (Int64.equal (bits a.Spectral.lower) (bits b.Spectral.lower)
+    && Int64.equal (bits a.Spectral.upper) (bits b.Spectral.upper)
+    && a.Spectral.iterations = b.Spectral.iterations
+    && a.Spectral.converged = b.Spectral.converged);
   check "agrees with direct evaluation" true
     (a = Delay_matrix.norm_blockwise dg 0.5);
   ignore (Context.norm ctx dg 0.6);

@@ -108,16 +108,23 @@ let test_norm_equals_blockwise () =
   List.iter
     (fun lambda ->
       let a = Delay_matrix.norm dg lambda in
-      let b = Delay_matrix.norm_blockwise dg lambda in
+      let b = (Delay_matrix.norm_blockwise dg lambda).Spectral.lower in
       check
         (Printf.sprintf "global = blockwise at lambda=%.2f" lambda)
         true
         (Numeric.approx_equal ~eps:1e-6 a b))
     [ 0.3; 0.6; 0.8 ]
 
-(* The parallel blockwise norm takes a per-vertex max of independently
-   computed block norms, so the worker count must not change even the
-   last bit of the result. *)
+(* The parallel blockwise norm folds independently computed block
+   brackets with exact operations (max, integer sum, conjunction), so the
+   worker count must not change even the last bit of any field. *)
+let same_bracket (a : Spectral.bracket) (b : Spectral.bracket) =
+  let bits = Int64.bits_of_float in
+  Int64.equal (bits a.Spectral.lower) (bits b.Spectral.lower)
+  && Int64.equal (bits a.Spectral.upper) (bits b.Spectral.upper)
+  && a.Spectral.iterations = b.Spectral.iterations
+  && a.Spectral.converged = b.Spectral.converged
+
 let test_norm_blockwise_parallel_bitwise () =
   let sys =
     Builders.random_systolic (Families.de_bruijn 2 4) Protocol.Half_duplex
@@ -133,69 +140,147 @@ let test_norm_blockwise_parallel_bitwise () =
           check
             (Printf.sprintf "bit-identical at lambda=%.2f domains=%d" lambda
                domains)
-            true
-            (Int64.equal (Int64.bits_of_float seq) (Int64.bits_of_float par)))
-        [ 2; 4 ])
+            true (same_bracket seq par))
+        [ 1; 2; 4 ])
     [ 0.3; 0.6; 0.8 ]
 
-(* Reference norms: plain power iteration with two Gram products per step
-   and fresh arrays for each, over every vertex block built straight from
-   the activations.  The library's norms must equal them bit for bit. *)
+(* Reference power iteration: two Gram products per step and fresh arrays
+   for each.  It returns the last Rayleigh quotient (clamped at 0), the
+   last normalized iterate [y] with its product [G·y], the step count, and
+   whether the stopping rule fired before the step cap. *)
+let reference_power ~cols ~apply =
+  let module Vec = Gossip_linalg.Vec in
+  let options = Spectral.default_options in
+  let rng = Gossip_util.Prng.create options.Spectral.seed in
+  let x = Array.init cols (fun _ -> 0.5 +. Gossip_util.Prng.float rng 1.0) in
+  ignore (Vec.normalize x);
+  let rec step k x eig =
+    let y = apply x in
+    let ny = Vec.norm2 y in
+    if ny = 0.0 then (0.0, y, y, k, true)
+    else begin
+      Vec.scale_into y (1.0 /. ny);
+      let gy = apply y in
+      let rayleigh = Vec.dot y gy in
+      if
+        Float.abs (rayleigh -. eig)
+        <= options.Spectral.tol *. Float.max 1.0 (Float.abs rayleigh)
+      then (Float.max 0.0 rayleigh, y, gy, k, true)
+      else if k = options.Spectral.max_iter then
+        (Float.max 0.0 rayleigh, y, gy, k, false)
+      else step (k + 1) y rayleigh
+    end
+  in
+  step 1 x 0.0
+
 let reference_norm2 ~rows ~cols ~mv ~tmv =
   if rows = 0 || cols = 0 then 0.0
-  else begin
-    let options = Spectral.default_options in
-    let rng = Gossip_util.Prng.create options.Spectral.seed in
-    let x =
-      ref (Array.init cols (fun _ -> 0.5 +. Gossip_util.Prng.float rng 1.0))
-    in
-    ignore (Gossip_linalg.Vec.normalize !x);
-    let apply v = tmv (mv v) in
-    let eig = ref 0.0 in
-    (try
-       for _ = 1 to options.Spectral.max_iter do
-         let y = apply !x in
-         let ny = Gossip_linalg.Vec.norm2 y in
-         if ny = 0.0 then begin
-           eig := 0.0;
-           raise Exit
-         end;
-         Gossip_linalg.Vec.scale_into y (1.0 /. ny);
-         let rayleigh = Gossip_linalg.Vec.dot y (apply y) in
-         if
-           Float.abs (rayleigh -. !eig)
-           <= options.Spectral.tol *. Float.max 1.0 (Float.abs rayleigh)
-         then begin
-           eig := rayleigh;
-           raise Exit
-         end;
-         eig := rayleigh;
-         x := y
-       done
-     with Exit -> ());
-    sqrt (Float.max 0.0 !eig)
-  end
+  else
+    let eig, _, _, _, _ = reference_power ~cols ~apply:(fun v -> tmv (mv v)) in
+    sqrt eig
 
-let reference_blockwise dg lambda =
+(* Every vertex block, built straight from the activations. *)
+let reference_blocks dg lambda =
   let w = Delay_digraph.window dg in
   let n = Digraph.n_vertices (Delay_digraph.graph dg) in
-  let best = ref 0.0 in
-  for x = 0 to n - 1 do
-    let ins = Delay_digraph.activations_in dg x in
-    let outs = Delay_digraph.activations_out dg x in
-    let block =
-      Dense.init (Array.length ins) (Array.length outs) (fun i j ->
-          let a = Delay_digraph.activation dg ins.(i) in
-          let b = Delay_digraph.activation dg outs.(j) in
-          let delay = b.Delay_digraph.round - a.Delay_digraph.round in
-          if delay >= 1 && delay < w then lambda ** float_of_int delay else 0.0)
-    in
-    best :=
-      Float.max !best
-        (reference_norm2 ~rows:(Dense.rows block) ~cols:(Dense.cols block)
-           ~mv:(Dense.mv block) ~tmv:(Dense.tmv block))
+  List.init n (fun x ->
+      let ins = Delay_digraph.activations_in dg x in
+      let outs = Delay_digraph.activations_out dg x in
+      let round k = (Delay_digraph.activation dg k).Delay_digraph.round in
+      let block =
+        Dense.init (Array.length ins) (Array.length outs) (fun i j ->
+            let delay = round outs.(j) - round ins.(i) in
+            if delay >= 1 && delay < w then lambda ** float_of_int delay
+            else 0.0)
+      in
+      (* the vertex's round pattern, shifted by its first in-round *)
+      let r0 = if Array.length ins > 0 then round ins.(0) else 0 in
+      let shifted ids = Array.map (fun k -> round k - r0) ids in
+      ((shifted ins, shifted outs), block))
+
+(* Today's whole-block estimate: one power iteration per vertex block. *)
+let reference_whole_block dg lambda =
+  List.fold_left
+    (fun best (_, b) ->
+      Float.max best
+        (reference_norm2 ~rows:(Dense.rows b) ~cols:(Dense.cols b)
+           ~mv:(Dense.mv b) ~tmv:(Dense.tmv b)))
+    0.0
+    (reference_blocks dg lambda)
+
+(* The connected components of a block's Gram support, by a plain flood
+   fill over columns that share a nonzero row: each is the submatrix of
+   its rows (those nonzero in its columns) and its columns, ascending. *)
+let reference_components b =
+  let rows = Dense.rows b and cols = Dense.cols b in
+  let nz i j = Dense.get b i j <> 0.0 in
+  let label = Array.make cols (-1) and count = ref 0 in
+  for j0 = 0 to cols - 1 do
+    if label.(j0) < 0 && List.exists (fun i -> nz i j0) (List.init rows Fun.id)
+    then begin
+      let c = !count in
+      incr count;
+      label.(j0) <- c;
+      let rec fill = function
+        | [] -> ()
+        | j :: rest ->
+            let next = ref rest in
+            for i = 0 to rows - 1 do
+              if nz i j then
+                for k = 0 to cols - 1 do
+                  if nz i k && label.(k) < 0 then begin
+                    label.(k) <- c;
+                    next := k :: !next
+                  end
+                done
+            done;
+            fill !next
+      in
+      fill [ j0 ]
+    end
   done;
-  !best
+  List.init !count (fun c ->
+      let cs = List.filter (fun j -> label.(j) = c) (List.init cols Fun.id) in
+      let rs =
+        List.filter (fun i -> List.exists (nz i) cs) (List.init rows Fun.id)
+      in
+      let cs = Array.of_list cs and rs = Array.of_list rs in
+      Dense.init (Array.length rs) (Array.length cs) (fun i j ->
+          Dense.get b rs.(i) cs.(j)))
+
+(* The reference bracket: every vertex block, each component solved by
+   [reference_power], the Collatz–Wielandt bound taken from its final
+   iterate.  The library solves one block per round pattern, so the
+   steps of a block count once per pattern. *)
+let reference_bracket dg lambda =
+  let seen = Hashtbl.create 16 in
+  List.fold_left
+    (fun (acc : Spectral.bracket) (pattern, b) ->
+      let first = not (Hashtbl.mem seen pattern) in
+      Hashtbl.replace seen pattern ();
+      List.fold_left
+        (fun (acc : Spectral.bracket) c ->
+          let eig, y, gy, steps, stopped =
+            reference_power ~cols:(Dense.cols c) ~apply:(fun v ->
+                Dense.tmv c (Dense.mv c v))
+          in
+          let cw = ref 0.0 in
+          Array.iteri
+            (fun j yj ->
+              if not (yj > 0.0) then failwith "reference: non-positive iterate";
+              cw := Float.max !cw (gy.(j) /. yj))
+            y;
+          {
+            Spectral.lower = Float.max acc.Spectral.lower (sqrt eig);
+            upper =
+              Float.max acc.Spectral.upper (sqrt !cw *. (1.0 +. 1e-12));
+            iterations =
+              (acc.Spectral.iterations + if first then steps else 0);
+            converged = acc.Spectral.converged && stopped;
+          })
+        acc (reference_components b))
+    Spectral.zero_bracket
+    (reference_blocks dg lambda)
 
 let reference_sparse dg lambda =
   let m = Delay_matrix.sparse dg lambda in
@@ -227,13 +312,13 @@ let prop_norms_match_reference_bitwise =
       in
       let sys = Builders.random_systolic g mode ~period ~seed ~density in
       let dg = Delay_digraph.of_systolic sys ~length in
-      let bits = Int64.bits_of_float in
-      Int64.equal
-        (bits (Delay_matrix.norm_blockwise dg lambda))
-        (bits (reference_blockwise dg lambda))
+      let b = Delay_matrix.norm_blockwise dg lambda in
+      same_bracket b (reference_bracket dg lambda)
+      (* the whole-block estimate approaches the norm from below *)
+      && reference_whole_block dg lambda <= b.Spectral.upper
       && Int64.equal
-           (bits (Delay_matrix.norm dg lambda))
-           (bits (reference_sparse dg lambda)))
+           (Int64.bits_of_float (Delay_matrix.norm dg lambda))
+           (Int64.bits_of_float (reference_sparse dg lambda)))
 
 (* Lemma 4.3 / 6.1: ‖M(λ)‖ <= closed form, for random protocols in every
    mode. *)
@@ -249,7 +334,7 @@ let prop_norm_bound_half_duplex =
           ~density:1.0
       in
       let dg = Delay_digraph.of_systolic sys ~length:(3 * s) in
-      let nu = Delay_matrix.norm_blockwise dg lambda in
+      let nu = (Delay_matrix.norm_blockwise dg lambda).Spectral.lower in
       let cf =
         Delay_matrix.closed_form_bound ~mode:Protocol.Half_duplex ~window:s
           lambda
@@ -267,7 +352,7 @@ let prop_norm_bound_directed =
           ~density:1.0
       in
       let dg = Delay_digraph.of_systolic sys ~length:(3 * s) in
-      Delay_matrix.norm_blockwise dg lambda
+      (Delay_matrix.norm_blockwise dg lambda).Spectral.lower
       <= Delay_matrix.closed_form_bound ~mode:Protocol.Directed ~window:s
            lambda
          +. 1e-7)
@@ -284,7 +369,7 @@ let prop_norm_bound_full_duplex =
           ~density:1.0
       in
       let dg = Delay_digraph.of_systolic sys ~length:(3 * s) in
-      Delay_matrix.norm_blockwise dg lambda
+      (Delay_matrix.norm_blockwise dg lambda).Spectral.lower
       <= Delay_matrix.closed_form_bound ~mode:Protocol.Full_duplex ~window:s
            lambda
          +. 1e-7)
@@ -636,6 +721,99 @@ let prop_certificate_sound =
           let cert = Certificate.certify dg ~mode:Protocol.Half_duplex in
           cert.Certificate.bound <= t)
 
+(* --- the soundness harness --- *)
+
+(* Small networks for each mode: symmetric ones for the two telephone
+   modes, directed ones for the directed mode. *)
+let harness_networks = function
+  | Protocol.Directed ->
+      [
+        ("dDB(2,3)", fun () -> Families.de_bruijn_directed 2 3);
+        ("dK(2,3)", fun () -> Families.kautz_directed 2 3);
+        ("dC(7)", fun () -> Families.directed_cycle 7);
+        ("dWBF(2,2)", fun () -> Families.wrapped_butterfly_directed 2 2);
+      ]
+  | Protocol.Half_duplex | Protocol.Full_duplex ->
+      [
+        ("DB(2,3)", fun () -> Families.de_bruijn 2 3);
+        ("K(2,2)", fun () -> Families.kautz 2 2);
+        ("Q3", fun () -> Families.hypercube 3);
+        ("C(8)", fun () -> Families.cycle 8);
+        ("P(6)", fun () -> Families.path 6);
+        ("Grid(3,3)", fun () -> Families.grid 3 3);
+        ("Tree(2,2)", fun () -> Families.complete_dary_tree 2 2);
+        ("BF(2,2)", fun () -> Families.butterfly 2 2);
+      ]
+
+let arb_harness_case =
+  let gen =
+    QCheck.Gen.(
+      let* mode =
+        oneofl [ Protocol.Half_duplex; Protocol.Directed; Protocol.Full_duplex ]
+      in
+      let* net = oneofl (harness_networks mode) in
+      let* period = int_range 3 8 in
+      let* seed = int_range 0 100_000 in
+      let* density = float_range 0.3 1.0 in
+      let* length = int_range 2 (4 * period) in
+      let* lambda = float_range 0.05 0.95 in
+      return (mode, net, period, seed, density, length, lambda))
+  in
+  let print (mode, (name, _), period, seed, density, length, lambda) =
+    Printf.sprintf "%s %s s=%d seed=%d density=%.17g length=%d lambda=%.17g"
+      (Protocol.mode_to_string mode) name period seed density length lambda
+  in
+  QCheck.make ~print gen
+
+(* Theorem 4.1 and Lemmas 4.3 / 6.1 on generated protocols: the bracket
+   is ordered, its lower end obeys the closed form, its upper end bounds
+   the global sparse estimate, and the certificate never exceeds the
+   simulated gossip time. *)
+let prop_soundness_harness =
+  QCheck.Test.make ~name:"soundness: bracket ordered, certificate <= gossip time"
+    ~count:80 arb_harness_case
+    (fun (mode, (_, net), period, seed, density, length, lambda) ->
+      let sys = Builders.random_systolic (net ()) mode ~period ~seed ~density in
+      let dg = Delay_digraph.of_systolic sys ~length in
+      let b = Delay_matrix.norm_blockwise dg lambda in
+      let cf =
+        Delay_matrix.closed_form_bound ~mode ~window:(Delay_digraph.window dg)
+          lambda
+      in
+      b.Spectral.lower <= b.Spectral.upper
+      && b.Spectral.lower <= cf *. (1.0 +. 1e-9)
+      && Delay_matrix.norm dg lambda <= b.Spectral.upper *. (1.0 +. 1e-9)
+      &&
+      match Gossip_simulate.Engine.gossip_time ~cap:400 sys with
+      | None -> true (* incomplete protocols have nothing to certify *)
+      | Some t ->
+          let dg = Delay_digraph.of_systolic sys ~length:t in
+          (Certificate.certify dg ~mode).Certificate.bound <= t)
+
+(* The certificate reads the bracket's upper end only: a lower end of
+   almost 0 and one equal to the upper end certify the same bound. *)
+let test_certificate_certifies_from_upper () =
+  let sys = Builders.edge_coloring_half_duplex (Families.de_bruijn 2 4) in
+  let t = Option.get (Gossip_simulate.Engine.gossip_time sys) in
+  let dg = Delay_digraph.of_systolic sys ~length:t in
+  let stub lower dg lambda =
+    let u = (Delay_matrix.norm_blockwise dg lambda).Spectral.upper in
+    { Spectral.lower = lower u; upper = u; iterations = 0; converged = true }
+  in
+  let loose = Certificate.certify ~norm:(stub (fun _ -> 1e-9)) dg ~mode:Protocol.Half_duplex in
+  let tight = Certificate.certify ~norm:(stub Fun.id) dg ~mode:Protocol.Half_duplex in
+  let plain = Certificate.certify dg ~mode:Protocol.Half_duplex in
+  check_int "same bound" tight.Certificate.bound loose.Certificate.bound;
+  check "same lambda and norm" true
+    (tight.Certificate.lambda = loose.Certificate.lambda
+    && tight.Certificate.norm = loose.Certificate.norm);
+  check "the lower end is carried, not used" true
+    (loose.Certificate.norm_lower = 1e-9);
+  check_int "the default bracket certifies the same bound" plain.Certificate.bound
+    tight.Certificate.bound;
+  check "the certified norm is the upper end" true
+    (plain.Certificate.norm >= plain.Certificate.norm_lower)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -673,4 +851,8 @@ let suite =
     q prop_full_duplex_norm_bound;
     q prop_separator_certificate_distance;
     q prop_certificate_sound;
+    (* Appended last so the indices of the cases above stay as they were. *)
+    q prop_soundness_harness;
+    ("certificate certifies from the upper end", `Quick,
+      test_certificate_certifies_from_upper);
   ]

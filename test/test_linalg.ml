@@ -415,6 +415,62 @@ let prop_semi_eigen_bounds_rho =
       in
       Spectral.spectral_radius_nonneg m <= e +. 1e-6)
 
+(* --- The bracket --- *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_bracket_edges () =
+  let zero = Spectral.norm2_bracket (Dense.create 3 4 0.0) in
+  check "zero matrix gives the zero bracket" true (zero = Spectral.zero_bracket);
+  check "empty matrix gives the zero bracket" true
+    (Spectral.norm2_bracket (Dense.create 0 4 0.0) = Spectral.zero_bracket);
+  (* two 1x1 components and a zero column: ‖diag(3, 1)‖ = 3 *)
+  let b = Spectral.norm2_bracket (m_of [ [ 3.0; 0.0; 0.0 ]; [ 0.0; 0.0; 1.0 ] ]) in
+  check "lower <= 3 <= upper" true
+    (b.Spectral.lower <= 3.0 +. 1e-12 && 3.0 <= b.Spectral.upper);
+  check "upper within its slack" true (b.Spectral.upper <= 3.0 *. (1.0 +. 1e-11));
+  check "converged" true b.Spectral.converged;
+  check "steps counted" true (b.Spectral.iterations >= 2);
+  Alcotest.check_raises "negative entry"
+    (Invalid_argument "Spectral.norm2_bracket: negative entry") (fun () ->
+      ignore (Spectral.norm2_bracket (m_of [ [ 1.0; -1.0 ] ])));
+  (* one Gram component whose top two singular values, 1 ± 2.5e-5, are
+     so close that the power iteration's stopping rule never fires: the
+     solve runs to its step cap, says so, and its upper end still bounds
+     the norm *)
+  let m = m_of [ [ 1.0; 2.5e-5 ]; [ 2.5e-5; 1.0 ] ] in
+  let capped = Spectral.norm2_bracket m in
+  check "capped solve not converged" false capped.Spectral.converged;
+  Alcotest.(check int) "capped solve ran to its cap"
+    Spectral.default_options.Spectral.max_iter capped.Spectral.iterations;
+  check "capped upper still bounds the norm" true
+    (Lanczos.norm2_dense m <= capped.Spectral.upper
+    && capped.Spectral.lower <= Lanczos.norm2_dense m)
+
+(* The upper end bounds every estimate from below: Lanczos on the whole
+   Gram operator and the power-iteration lower end itself. *)
+let prop_bracket_bounds_estimates =
+  QCheck.Test.make ~name:"Lanczos norm <= bracket upper" ~count:200
+    arb_small_matrix (fun m ->
+      let b = Spectral.norm2_bracket m in
+      Lanczos.norm2_dense m <= b.Spectral.upper *. (1.0 +. 1e-9)
+      && b.Spectral.lower <= b.Spectral.upper
+      && bits_equal b.Spectral.lower (Spectral.norm2_dense m))
+
+(* Norm property 8 for the bracket, exactly: diag(M1, M2) has the
+   components of M1 and of M2, solved as they are alone. *)
+let prop_bracket_block_diag =
+  QCheck.Test.make ~name:"bracket of diag(M1, M2) = max of brackets, bit for bit"
+    ~count:100
+    QCheck.(pair arb_small_matrix arb_small_matrix)
+    (fun (a, b) ->
+      let d = Spectral.norm2_bracket (Dense.block_diag [ a; b ]) in
+      let e = Spectral.bracket_max (Spectral.norm2_bracket a) (Spectral.norm2_bracket b) in
+      bits_equal d.Spectral.lower e.Spectral.lower
+      && bits_equal d.Spectral.upper e.Spectral.upper
+      && d.Spectral.iterations = e.Spectral.iterations
+      && d.Spectral.converged = e.Spectral.converged)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -458,4 +514,7 @@ let suite =
     q prop_lanczos_matches_power;
     (* Appended last so the indices of the cases above stay as they were. *)
     q prop_gram_apply_into_bitwise;
+    ("bracket edge cases", `Quick, test_bracket_edges);
+    q prop_bracket_bounds_estimates;
+    q prop_bracket_block_diag;
   ]

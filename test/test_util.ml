@@ -146,14 +146,20 @@ let test_prng_copy_split () =
 
 let test_bisect () =
   let r = Numeric.bisect ~lo:0.0 ~hi:2.0 (fun x -> (x *. x) -. 2.0) in
-  check "sqrt 2 by bisection" true (Float.abs (r -. sqrt 2.0) < 1e-9)
+  check "sqrt 2 by bisection" true
+    (Float.abs (r.Numeric.root -. sqrt 2.0) < 1e-9);
+  check "bisection converged" true r.Numeric.converged;
+  check "bracket holds the root" true
+    (r.Numeric.lo <= sqrt 2.0 && sqrt 2.0 <= r.Numeric.hi)
 
 let test_brent () =
   let r = Numeric.brent ~lo:0.0 ~hi:2.0 (fun x -> (x *. x *. x) +. x -. 1.0) in
-  check "brent root of x^3+x-1" true (Float.abs (r -. 0.6823278038) < 1e-9);
+  check "brent root of x^3+x-1" true
+    (Float.abs (r.Numeric.root -. 0.6823278038) < 1e-9);
+  check "brent converged" true r.Numeric.converged;
   (* endpoints that are already roots *)
   let z = Numeric.brent ~lo:0.0 ~hi:1.0 (fun x -> x) in
-  check "root at endpoint" true (z = 0.0)
+  check "root at endpoint" true (z.Numeric.root = 0.0)
 
 let test_brent_invalid_bracket () =
   Alcotest.check_raises "non-bracketing"
@@ -187,7 +193,7 @@ let prop_brent_vs_bisect =
       let f x = (x *. x *. x) +. (a *. x) -. 1.0 in
       let r1 = Numeric.brent ~lo:0.0 ~hi:1.0 f in
       let r2 = Numeric.bisect ~lo:0.0 ~hi:1.0 f in
-      Float.abs (r1 -. r2) < 1e-8)
+      Float.abs (r1.Numeric.root -. r2.Numeric.root) < 1e-8)
 
 (* --- Parallel --- *)
 

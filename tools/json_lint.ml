@@ -13,6 +13,12 @@
                    counterexample, exhaustive <=> confidence 1, a
                    certified verdict has fault_free_time <= worst_time
                    <= cap, and cap >= 1 once a fault-free time exists)
+     --certificate one JSON document holding at least one Theorem 4.1
+                   certificate: every object, at any depth, that carries
+                   "bound", "lambda", "norm" and "closed_form" must have
+                   norm_lower <= norm, norm_lower <= closed_form *
+                   (1 + 1e-9), a non-negative integer "iterations" and a
+                   boolean "converged"
 
    Exit status 0 when valid; 1 with a diagnostic on stderr otherwise.
    Used by CI to validate `gossip_lab ... --json` output, bench reports
@@ -225,6 +231,58 @@ let lint_fault_cert src =
     (want_str "scheme") k
     (if certified then "certified" else "counterexample")
 
+(* --- Theorem 4.1 certificates --- *)
+
+(* [norm] is the certified upper end of the norm bracket and
+   [norm_lower] its power-iteration estimate from below; only the lower
+   end must obey the Lemma 4.3 / 6.1 closed form, because an upper bound
+   on a norm that sits on its closed form can exceed it by its slack. *)
+let lint_certificates src =
+  let j =
+    match Json.of_string src with
+    | Ok j -> j
+    | Error e -> fail "invalid JSON: %s" e
+  in
+  let found = ref 0 in
+  let check_cert path fields =
+    incr found;
+    let num key =
+      match List.assoc_opt key fields with
+      | Some (Json.Float f) -> f
+      | Some (Json.Int i) -> float_of_int i
+      | Some _ -> fail "%s: field %S must be a number" path key
+      | None -> fail "%s: certificate lacks field %S" path key
+    in
+    let norm = num "norm" and closed_form = num "closed_form" in
+    let norm_lower = num "norm_lower" in
+    if not (norm_lower <= norm) then
+      fail "%s: norm_lower %.17g exceeds norm %.17g" path norm_lower norm;
+    if not (norm_lower <= closed_form *. (1.0 +. 1e-9)) then
+      fail "%s: norm_lower %.17g exceeds the closed form %.17g" path
+        norm_lower closed_form;
+    (match List.assoc_opt "iterations" fields with
+    | Some (Json.Int i) when i >= 0 -> ()
+    | _ -> fail "%s: \"iterations\" must be a non-negative integer" path);
+    match List.assoc_opt "converged" fields with
+    | Some (Json.Bool _) -> ()
+    | _ -> fail "%s: \"converged\" must be a boolean" path
+  in
+  let rec walk path = function
+    | Json.Obj fields ->
+        if
+          List.for_all
+            (fun k -> List.mem_assoc k fields)
+            [ "bound"; "lambda"; "norm"; "closed_form" ]
+        then check_cert path fields;
+        List.iter (fun (k, v) -> walk (path ^ "." ^ k) v) fields
+    | Json.List items ->
+        List.iteri (fun i v -> walk (Printf.sprintf "%s[%d]" path i) v) items
+    | _ -> ()
+  in
+  walk "$" j;
+  if !found = 0 then fail "no Theorem 4.1 certificate found";
+  Printf.printf "ok: %d certificate(s)\n" !found
+
 let () =
   let src = read_all stdin in
   match List.tl (Array.to_list Sys.argv) with
@@ -232,6 +290,9 @@ let () =
   | [ "--jsonl" ] -> lint_lines ~trace:false src
   | [ "--trace" ] -> lint_lines ~trace:true src
   | [ "--fault-cert" ] -> lint_fault_cert src
+  | [ "--certificate" ] -> lint_certificates src
   | _ ->
-      prerr_endline "usage: json_lint [--jsonl | --trace | --fault-cert] < input";
+      prerr_endline
+        "usage: json_lint [--jsonl | --trace | --fault-cert | --certificate] \
+         < input";
       exit 2
