@@ -623,8 +623,10 @@ let certify_file_cmd =
       else
         match protocol_report.Analysis.gossip_time with
         | Some t ->
-            (* The refinement re-sweeps the coarse λ grid over the same
-               delay digraph, so every coarse norm solve is a cache hit. *)
+            (* The refinement repeats the coarse search over the same
+               delay digraph, which solves the same λ as the analysis
+               did, so each of those solves is a cache hit; the λ the
+               search skips are solved by neither. *)
             let dg = Context.delay_digraph ctx sys ~length:t in
             Some
               (Context.certify ctx ~refine:true dg
@@ -675,8 +677,9 @@ let stats_cmd =
     let cold = Analysis.certify_protocol ~ctx sys in
     if not json then
       Format.printf "%a@." Analysis.pp_protocol_report cold;
-    (* Refined certificate over the same delay digraph: the coarse λ grid
-       is revisited, so its norm solves are cache hits. *)
+    (* Refined certificate over the same delay digraph: the coarse
+       search solves the same λ as the cold pass, so those solves are
+       cache hits; the λ it skips are solved by neither. *)
     let refined =
       match cold.Analysis.gossip_time with
       | Some t ->

@@ -45,6 +45,10 @@ let cumulative_counts dg pred =
 (* per_round.(t) = matching activations strictly before round index t,
    i.e. within the first t rounds. *)
 
+(* Non-increasing in [nu]: each partial sum of [impossible_t] is built
+   from [nu ** start] by correctly rounded multiplies and adds of
+   nonnegative numbers, all monotone, so a larger [nu] rules out no
+   round count that a smaller one keeps. *)
 let smallest_feasible ~nu ~lambda ~pairs ~m1 ~m2 ~start ~horizon =
   let rec scan t =
     if t > horizon then horizon + 1
@@ -57,51 +61,89 @@ let smallest_feasible ~nu ~lambda ~pairs ~m1 ~m2 ~start ~horizon =
   in
   scan 1
 
+(* Branch and bound over the λ grid.  Every λ gets a cap U(λ): the bound
+   its lower end ν̲(λ) ≤ ‖M(λ)‖ ({!Delay_matrix.norm_lower_bounds})
+   would certify.  A full solve certifies from an [upper ≥ ‖M(λ)‖ ≥ ν̲(λ)],
+   and [smallest_feasible] is non-increasing in ν, so λ's certified bound
+   is at most U(λ).  With [start = 1], [nu ** start] is [nu] exactly;
+   with [start > 1] ([certify_separator]) [**] may err by under one unit
+   in the last place, but ν̲(λ) sits at least the 1e-12 relative slack of
+   [upper] below it, thousands of units, so the order of the two powers
+   is kept.  The coarse grid keeps the first λ with the largest bound;
+   visited by cap descending (ties by grid position), a λ whose cap is
+   below the best bound, or equal to it at a later grid position, cannot
+   displace it and is not solved.  The winner's fields come from its own
+   [norm] call, so the certificate is the exhaustive sweep's, bit for
+   bit. *)
 let certify_generic ?(refine = false)
     ?(norm = fun dg lambda -> Delay_matrix.norm_blockwise dg lambda) dg ~mode
-    ~pairs ~pred_src ~pred_dst ~start_of =
+    ~pairs ~pred_src ~pred_dst ~start =
   let horizon = Delay_digraph.protocol_length dg in
   let m1 = cumulative_counts dg pred_src in
   let m2 = cumulative_counts dg pred_dst in
   let window = Delay_digraph.window dg in
-  let best = ref None in
-  let consider lambda =
-    if lambda > 0.0 && lambda < 1.0 then begin
-      (* Theorem 4.1 needs ν ≥ ‖M(λ)‖: certify from the bracket's upper
-         end, never from the estimate below it *)
-      let b = norm dg lambda in
-      let nu = b.Spectral.upper in
-      let bound =
-        smallest_feasible ~nu ~lambda ~pairs ~m1 ~m2 ~start:(start_of ())
-          ~horizon
-      in
-      let closed_form = Delay_matrix.closed_form_bound ~mode ~window lambda in
-      let cert =
-        {
-          lambda;
-          norm = nu;
-          norm_lower = b.Spectral.lower;
-          iterations = b.Spectral.iterations;
-          converged = b.Spectral.converged;
-          closed_form;
-          bound;
-          activations = Delay_digraph.n_activations dg;
-        }
-      in
-      match !best with
-      | None -> best := Some cert
-      | Some b -> if cert.bound > b.bound then best := Some cert
-    end
+  let feasible nu lambda =
+    smallest_feasible ~nu ~lambda ~pairs ~m1 ~m2 ~start ~horizon
   in
-  (* the grid lies inside (0, 1), so every pass below sets [best] *)
-  List.iter consider default_lambdas;
-  let coarse = Option.get !best in
-  if refine then
-    (* finer sweep around the coarse winner; the bound only improves *)
-    for i = -10 to 10 do
-      consider (coarse.lambda +. (0.005 *. float_of_int i))
-    done;
-  Option.get !best
+  let solve lambda =
+    (* Theorem 4.1 needs ν ≥ ‖M(λ)‖: certify from the bracket's upper
+       end, never from the estimate below it *)
+    let b = norm dg lambda in
+    let nu = b.Spectral.upper in
+    {
+      lambda;
+      norm = nu;
+      norm_lower = b.Spectral.lower;
+      iterations = b.Spectral.iterations;
+      converged = b.Spectral.converged;
+      closed_form = Delay_matrix.closed_form_bound ~mode ~window lambda;
+      bound = feasible nu lambda;
+      activations = Delay_digraph.n_activations dg;
+    }
+  in
+  (* (U(λ), grid position, λ) for every λ of [lambdas] *)
+  let capped lambdas =
+    let lows = Delay_matrix.norm_lower_bounds dg lambdas in
+    List.mapi (fun i lambda -> (feasible lows.(i) lambda, i, lambda)) lambdas
+  in
+  (* would a bound at grid position [i] displace [best] under the
+     first-strict-max rule? *)
+  let beats bound i = function
+    | None -> true
+    | Some (b, j) -> bound > b.bound || (bound = b.bound && i < j)
+  in
+  let best =
+    List.fold_left
+      (fun best (cap, i, lambda) ->
+        if not (beats cap i best) then best
+        else
+          let c = solve lambda in
+          if beats c.bound i best then Some (c, i) else best)
+      None
+      (List.stable_sort
+         (fun (u, _, _) (v, _, _) -> compare v u)
+         (capped default_lambdas))
+  in
+  (* the grid lies inside (0, 1), so the first λ visited sets [best] *)
+  let coarse, _ = Option.get best in
+  if not refine then coarse
+  else
+    (* finer sweep around the coarse winner in grid order, replacing only
+       on strict improvement, so a cap at or below the best bound cannot
+       win; the offset 0 is the coarse winner itself *)
+    let finer =
+      List.filter
+        (fun l -> l > 0.0 && l < 1.0 && l <> coarse.lambda)
+        (List.init 21 (fun k ->
+             coarse.lambda +. (0.005 *. float_of_int (k - 10))))
+    in
+    List.fold_left
+      (fun best (cap, _, lambda) ->
+        if cap <= best.bound then best
+        else
+          let c = solve lambda in
+          if c.bound > best.bound then c else best)
+      coarse (capped finer)
 
 (* Structural span tags: the digest identifies which delay digraph a
    recorded certificate search ran over, so traces of repeated runs can
@@ -122,7 +164,7 @@ let certify ?refine ?norm dg ~mode =
         ~pairs:(n *. (n -. 1.0))
         ~pred_src:(fun _ -> true)
         ~pred_dst:(fun _ -> true)
-        ~start_of:(fun () -> 1))
+        ~start:1)
 
 let certify_separator dg ~mode ~sep =
   let open Gossip_topology.Separator in
@@ -138,7 +180,7 @@ let certify_separator dg ~mode ~sep =
         ~pairs:(float_of_int c1 *. float_of_int c2)
         ~pred_src:(fun a -> Hashtbl.mem v1 a.Delay_digraph.src)
         ~pred_dst:(fun a -> Hashtbl.mem v2 a.Delay_digraph.dst)
-        ~start_of:(fun () -> max 1 (dist - 1)))
+        ~start:(max 1 (dist - 1)))
 
 let certify_systolic ?refine sys =
   let module Systolic = Gossip_protocol.Systolic in

@@ -20,7 +20,25 @@
     inequality needs [ν ≥ ‖M(λ)‖]: a smaller ν rules out more round
     counts, so ν is the upper end of a rigorous bracket
     ({!Delay_matrix.norm_blockwise}), never an iterative estimate that
-    approaches the norm from below. *)
+    approaches the norm from below.
+
+    {b The search is a branch and bound.}  The certified bound is
+    non-increasing in ν, so a rigorous lower bound [ν̲(λ) ≤ ‖M(λ)‖]
+    ({!Delay_matrix.norm_lower_bounds}, the largest row or column norm
+    of a block, read off the round patterns) caps what λ can certify:
+    [U(λ)], the bound [ν̲(λ)] would certify, is at least the bound of
+    λ's full solve.  The search computes every cap first, then solves
+    the grid by cap descending, ties by grid position, and skips each λ
+    whose cap is below the best bound so far, or equal to it at a later
+    grid position: under the first-strict-max rule such a λ cannot
+    displace the winner.  The refinement visits its candidates in grid
+    order and skips each whose cap is at most the best bound.  The
+    winner's fields come from its own norm solve, so the certificate is
+    the one an exhaustive sweep returns, bit for bit; only the losing
+    λ's solves are saved.  The caps are sound for ν taken from
+    {!Delay_matrix.norm_blockwise}: its [upper] carries a [1e-12]
+    relative slack, far above the rounding of [ν̲(λ)] and of the
+    powers [ν^k]. *)
 
 type t = {
   lambda : float;  (** the λ achieving the best bound *)
@@ -48,9 +66,14 @@ type t = {
     default [‖M(λ)‖] bracket ({!Delay_matrix.norm_blockwise}) — the
     memoizing analysis context injects its cached evaluator here, so
     repeated λ sweeps over the same delay digraph reuse norm solves.
-    The bound is computed from the bracket's [upper] alone; any
-    replacement's [upper] must bound [‖M(λ)‖] from above or the
-    certificate is unsound. *)
+    [norm] is called only for the λ the search does not skip (see
+    above), at most once per λ.
+
+    The contract of [norm]: its [upper] must be at least [‖M(λ)‖].  The
+    bound is computed from [upper] alone, so a smaller one makes the
+    certificate unsound; the search also relies on it, since a λ is
+    skipped when even [ν̲(λ) ≤ ‖M(λ)‖ ≤ upper] could not win.  The
+    other fields are carried into the certificate unread. *)
 val certify :
   ?refine:bool ->
   ?norm:(Delay_digraph.t -> float -> Gossip_linalg.Spectral.bracket) ->

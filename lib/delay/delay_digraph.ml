@@ -3,36 +3,59 @@ module Systolic = Gossip_protocol.Systolic
 
 type activation = { src : int; dst : int; round : int }
 
+(* Only the activations and the per-vertex lists are stored: the delay
+   arcs out of (x, y, i) are the activations of [by_src.(y)] whose round
+   j has 1 <= j - i < window, so they are enumerated on demand. *)
 type t = {
   graph : Gossip_topology.Digraph.t;
   window : int;
   protocol_length : int;
   activations : activation array;
-  index : (int * int * int, int) Hashtbl.t; (* (src, dst, round) -> id *)
   by_dst : int array array; (* per network vertex, sorted by round *)
   by_src : int array array;
-  out_arcs : (int * int) array array; (* id -> [(head, delay)] *)
   n_delay_arcs : int;
 }
+
+(* The position in [ids] (sorted by round) of the first activation whose
+   round exceeds [round]. *)
+let first_after activations ids round =
+  let lo = ref 0 and hi = ref (Array.length ids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if activations.(ids.(mid)).round <= round then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* [f head delay] for every delay arc out of activation [a], in round
+   order: the activations leaving [a.dst] at rounds a.round + 1 up to
+   a.round + window - 1. *)
+let iter_succs activations by_src ~window a f =
+  let ids = by_src.(a.dst) in
+  let n = Array.length ids in
+  let rec go p =
+    if p < n then begin
+      let head = ids.(p) in
+      let delay = activations.(head).round - a.round in
+      if delay < window then begin
+        f head delay;
+        go (p + 1)
+      end
+    end
+  in
+  go (first_after activations ids a.round)
 
 let build p ~window =
   if window < 2 then invalid_arg "Delay_digraph.build: window must be >= 2";
   let g = Protocol.graph p in
   let n = Gossip_topology.Digraph.n_vertices g in
   let t = Protocol.length p in
-  let acts = ref [] and count = ref 0 in
+  let acts = ref [] in
   for i = t - 1 downto 0 do
     List.iter
-      (fun (x, y) ->
-        acts := { src = x; dst = y; round = i } :: !acts;
-        incr count)
+      (fun (x, y) -> acts := { src = x; dst = y; round = i } :: !acts)
       (Protocol.round p i)
   done;
   let activations = Array.of_list !acts in
-  let index = Hashtbl.create (2 * !count) in
-  Array.iteri
-    (fun id a -> Hashtbl.replace index (a.src, a.dst, a.round) id)
-    activations;
   let by_dst_l = Array.make n [] and by_src_l = Array.make n [] in
   (* activations are sorted by round already; collect in reverse to keep
      the by-round order after the final List.rev *)
@@ -44,33 +67,17 @@ let build p ~window =
   let by_dst = Array.map Array.of_list by_dst_l in
   let by_src = Array.map Array.of_list by_src_l in
   let n_delay_arcs = ref 0 in
-  let out_arcs =
-    Array.map
-      (fun a ->
-        let id_round = a.round in
-        let succs = ref [] in
-        (* successors: activations (dst, z, j) with 1 <= j - i < window *)
-        Array.iter
-          (fun head ->
-            let b = activations.(head) in
-            let delay = b.round - id_round in
-            if delay >= 1 && delay < window then begin
-              succs := (head, delay) :: !succs;
-              incr n_delay_arcs
-            end)
-          by_src.(a.dst);
-        Array.of_list (List.rev !succs))
-      activations
-  in
+  Array.iter
+    (fun a ->
+      iter_succs activations by_src ~window a (fun _ _ -> incr n_delay_arcs))
+    activations;
   {
     graph = g;
     window;
     protocol_length = t;
     activations;
-    index;
     by_dst;
     by_src;
-    out_arcs;
     n_delay_arcs = !n_delay_arcs;
   }
 
@@ -84,15 +91,23 @@ let n_activations dg = Array.length dg.activations
 
 let activation dg k = dg.activations.(k)
 
-let find dg ~src ~dst ~round = Hashtbl.find_opt dg.index (src, dst, round)
+let find dg ~src ~dst ~round =
+  if src < 0 || src >= Array.length dg.by_src then None
+  else
+    Array.find_opt
+      (fun k ->
+        let a = dg.activations.(k) in
+        a.dst = dst && a.round = round)
+      dg.by_src.(src)
 
 let n_delay_arcs dg = dg.n_delay_arcs
 
 let iter_arcs f dg =
   Array.iteri
-    (fun tail succs ->
-      Array.iter (fun (head, delay) -> f ~tail ~head ~delay) succs)
-    dg.out_arcs
+    (fun tail a ->
+      iter_succs dg.activations dg.by_src ~window:dg.window a (fun head delay ->
+          f ~tail ~head ~delay))
+    dg.activations
 
 let window dg = dg.window
 let protocol_length dg = dg.protocol_length
@@ -131,13 +146,12 @@ let distances_from dg k =
   Queue.add k queue;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    Array.iter
-      (fun (v, delay) ->
+    iter_succs dg.activations dg.by_src ~window:dg.window dg.activations.(u)
+      (fun v delay ->
         if dist.(v) = max_int then begin
           dist.(v) <- dist.(u) + delay;
           Queue.add v queue
         end)
-      dg.out_arcs.(u)
   done;
   dist
 

@@ -11,9 +11,12 @@
 
     We build [DG] for a concrete finite protocol (usually a systolic
     protocol expanded to its measured length): activations are indexed
-    densely, and the structure remembers the middle vertex of every
-    delay arc so the per-vertex blocks [Mx(λ)] of Section 4 can be
-    extracted. *)
+    densely in round order, and each network vertex keeps its in- and
+    out-activations, so the per-vertex blocks [Mx(λ)] of Section 4 can
+    be extracted.  That is all that is stored, about seven words per
+    activation: the delay arcs out of [(x, y, i)] are the activations
+    leaving [y] at rounds [i + 1] to [i + s - 1], found by a binary
+    search in [y]'s out-list and enumerated on demand. *)
 
 type activation = { src : int; dst : int; round : int }
 (** Arc [src → dst] active at [round] (0-based). *)
@@ -39,14 +42,17 @@ val n_activations : t -> int
 (** [activation dg k] is the [k]-th activation. *)
 val activation : t -> int -> activation
 
-(** [find dg ~src ~dst ~round] is the index of that activation, if any. *)
+(** [find dg ~src ~dst ~round] is the index of that activation, if any:
+    a scan of [activations_out dg src], O(out-degree of [src]). *)
 val find : t -> src:int -> dst:int -> round:int -> int option
 
-(** [n_delay_arcs dg] is [|A'|]. *)
+(** [n_delay_arcs dg] is [|A'|], counted once at build. *)
 val n_delay_arcs : t -> int
 
 (** [iter_arcs f dg] applies [f ~tail ~head ~delay] to every delay arc
-    (tail and head are activation indices). *)
+    (tail and head are activation indices), by tail index ascending and,
+    for one tail, by head index ascending (so by round).
+    {!Delay_matrix.sparse} builds [M(λ)] in this order. *)
 val iter_arcs : (tail:int -> head:int -> delay:int -> unit) -> t -> unit
 
 (** [window dg] is the delay window [s] it was built with, and

@@ -56,8 +56,6 @@ let distinct_patterns dg =
       distinct := p :: !distinct
     end
   done;
-  Gossip_util.Instrument.add "delay.blocks" n;
-  Gossip_util.Instrument.add "delay.blocks.distinct" (Hashtbl.length seen);
   Array.of_list (List.rev !distinct)
 
 let norm_blockwise ?domains dg lambda =
@@ -65,6 +63,10 @@ let norm_blockwise ?domains dg lambda =
   Gossip_util.Instrument.span "delay.norm-blockwise" (fun () ->
       let window = Delay_digraph.window dg in
       let patterns = distinct_patterns dg in
+      Gossip_util.Instrument.add "delay.blocks"
+        (Gossip_topology.Digraph.n_vertices (Delay_digraph.graph dg));
+      Gossip_util.Instrument.add "delay.blocks.distinct"
+        (Array.length patterns);
       let block_bracket k =
         Spectral.norm2_bracket (block_of_pattern ~window lambda patterns.(k))
       in
@@ -79,6 +81,46 @@ let norm_blockwise ?domains dg lambda =
       Gossip_util.Instrument.add "delay.unconverged"
         (if b.Spectral.converged then 0 else 1);
       b)
+
+let norm_lower_bounds dg lambdas =
+  List.iter check_lambda lambdas;
+  let window = Delay_digraph.window dg in
+  let patterns = distinct_patterns dg in
+  let pw = Array.make window 0.0 in
+  Array.of_list
+    (List.map
+       (fun lambda ->
+         for d = 1 to window - 1 do
+           pw.(d) <- lambda ** float_of_int d
+         done;
+         let best = ref 0.0 in
+         (* The 2-norm of one row ([sign = 1], in-round [r], entries at
+            the out-rounds [others]) or one column ([sign = -1], out-round
+            [r], entries at the in-rounds [others]).  Its [k] squares,
+            their sum and the square root err by at most (k + 2)·ε/4,
+            relative, so deflating by (k + 2)·ε keeps it below the
+            line's exact norm. *)
+         let line sign r others =
+           let sq = ref 0.0 and k = ref 0 in
+           for p = 0 to Array.length others - 1 do
+             let d = sign * (others.(p) - r) in
+             if d >= 1 && d < window then begin
+               sq := !sq +. (pw.(d) *. pw.(d));
+               incr k
+             end
+           done;
+           let norm =
+             sqrt !sq *. (1.0 -. (float_of_int (!k + 2) *. epsilon_float))
+           in
+           if norm > !best then best := norm
+         in
+         Array.iter
+           (fun (ins, outs) ->
+             Array.iter (fun i -> line 1 i outs) ins;
+             Array.iter (fun j -> line (-1) j ins) outs)
+           patterns;
+         !best)
+       lambdas)
 
 let closed_form_bound ~mode ~window lambda =
   check_lambda lambda;

@@ -55,6 +55,23 @@ val norm : Delay_digraph.t -> float -> float
 val norm_blockwise :
   ?domains:int -> Delay_digraph.t -> float -> Gossip_linalg.Spectral.bracket
 
+(** [norm_lower_bounds dg lambdas] is, for each [λ] of [lambdas] in
+    order, a rigorous lower bound [ν̲(λ) ≤ ‖M(λ)‖] read off the block
+    patterns without building a matrix or running a solver: the largest
+    2-norm of a row or a column of any block.  A block [B] has
+    [‖B e_j‖ ≤ ‖B‖] and [‖Bᵀ e_i‖ ≤ ‖Bᵀ‖ = ‖B‖], and [max_x ‖Mx(λ)‖ =
+    ‖M(λ)‖] (norm property 8).  Each line's norm is deflated by
+    [(k + 2)·ε] for its [k] entries, which covers the rounding of its
+    sum of squares and square root, so [ν̲(λ)] stays below the exact
+    norm; it is far below the [1e-12] relative slack of
+    {!norm_blockwise}'s [upper].
+
+    The call finds the distinct (in-round, out-round) patterns once, then
+    sums the squared entries of each of their rows and columns per [λ],
+    in O(entries) per [λ] and without a solve.  It adds to no counter.
+    @raise Invalid_argument unless every [λ] is in (0, 1). *)
+val norm_lower_bounds : Delay_digraph.t -> float list -> float array
+
 (** [closed_form_bound ~mode ~window lambda] is the paper's closed-form
     upper bound on [‖M(λ)‖]:
     [λ·sqrt(p⌈s/2⌉(λ))·sqrt(p⌊s/2⌋(λ))] in directed/half-duplex mode

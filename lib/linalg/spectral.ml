@@ -46,7 +46,12 @@ type solve = {
    next iterate is the normalized [y] whose Rayleigh quotient was just
    taken, so the product [G·y] computed for that quotient is also the
    next step's product: one application per step, into two buffers that
-   swap roles. *)
+   swap roles.
+
+   The norm, scaling and dot product are [Vec.norm2], [Vec.scale_into]
+   and [Vec.dot] written out in place, in the same order of operations:
+   dune's default profile compiles with [-opaque], so each call into
+   [Vec] would box its float, and a step would allocate. *)
 let power_psd options apply_into n =
   (* the start vector is needed for the first product only; its array
      then serves as the second buffer *)
@@ -56,16 +61,29 @@ let power_psd options apply_into n =
   let eig = ref 0.0 and steps = ref options.max_iter and stopped = ref false in
   (try
      for k = 1 to options.max_iter do
-       let ny = Vec.norm2 !y in
+       let yv = !y in
+       let sq = ref 0.0 in
+       for i = 0 to n - 1 do
+         sq := !sq +. (yv.(i) *. yv.(i))
+       done;
+       let ny = sqrt !sq in
        if ny = 0.0 then begin
          eig := 0.0;
          steps := k;
          stopped := true;
          raise Exit
        end;
-       Vec.scale_into !y (1.0 /. ny);
-       apply_into !y !gy;
-       let rayleigh = Vec.dot !y !gy in
+       let c = 1.0 /. ny in
+       for i = 0 to n - 1 do
+         yv.(i) <- c *. yv.(i)
+       done;
+       let gyv = !gy in
+       apply_into yv gyv;
+       let acc = ref 0.0 in
+       for i = 0 to n - 1 do
+         acc := !acc +. (yv.(i) *. gyv.(i))
+       done;
+       let rayleigh = !acc in
        if
          Float.abs (rayleigh -. !eig)
          <= options.tol *. Float.max 1.0 (Float.abs rayleigh)

@@ -814,6 +814,260 @@ let test_certificate_certifies_from_upper () =
   check "the certified norm is the upper end" true
     (plain.Certificate.norm >= plain.Certificate.norm_lower)
 
+(* --- the pruned λ search --- *)
+
+let grid = List.init 19 (fun i -> 0.05 +. (0.05 *. float_of_int i))
+
+let same_certificate (a : Certificate.t) (b : Certificate.t) =
+  let bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  bits a.Certificate.lambda b.Certificate.lambda
+  && bits a.Certificate.norm b.Certificate.norm
+  && bits a.Certificate.norm_lower b.Certificate.norm_lower
+  && a.Certificate.iterations = b.Certificate.iterations
+  && a.Certificate.converged = b.Certificate.converged
+  && bits a.Certificate.closed_form b.Certificate.closed_form
+  && a.Certificate.bound = b.Certificate.bound
+  && a.Certificate.activations = b.Certificate.activations
+
+(* The smallest round count Theorem 4.1 does not rule out at [nu]:
+   [pairs], the activation predicates and the first power as the
+   certificate takes them. *)
+let reference_feasible dg ~pairs ~pred_src ~pred_dst ~start =
+  let horizon = Delay_digraph.protocol_length dg in
+  let counts pred =
+    let c = Array.make (horizon + 1) 0 in
+    for k = 0 to Delay_digraph.n_activations dg - 1 do
+      let a = Delay_digraph.activation dg k in
+      if pred a then
+        for t = a.Delay_digraph.round + 1 to horizon do
+          c.(t) <- c.(t) + 1
+        done
+    done;
+    c
+  in
+  let m1 = counts pred_src and m2 = counts pred_dst in
+  fun nu lambda ->
+    let rec scan t =
+      if t > horizon then horizon + 1
+      else
+        let m =
+          sqrt (float_of_int (max 1 m1.(t)) *. float_of_int (max 1 m2.(t)))
+        in
+        if Certificate.impossible_t ~nu ~lambda ~pairs ~m ~start t then
+          scan (t + 1)
+        else t
+    in
+    scan 1
+
+(* The exhaustive search: every grid λ solved with [norm_blockwise], the
+   first strict max kept, then every point of the 21-point refinement
+   solved and kept on strict improvement. *)
+let reference_certificate ?(refine = false) ~mode ~feasible dg =
+  let solve lambda =
+    let b = Delay_matrix.norm_blockwise dg lambda in
+    {
+      Certificate.lambda;
+      norm = b.Spectral.upper;
+      norm_lower = b.Spectral.lower;
+      iterations = b.Spectral.iterations;
+      converged = b.Spectral.converged;
+      closed_form =
+        Delay_matrix.closed_form_bound ~mode ~window:(Delay_digraph.window dg)
+          lambda;
+      bound = feasible b.Spectral.upper lambda;
+      activations = Delay_digraph.n_activations dg;
+    }
+  in
+  let better (best : Certificate.t) (c : Certificate.t) =
+    if c.Certificate.bound > best.Certificate.bound then c else best
+  in
+  let coarse =
+    List.fold_left (fun best l -> better best (solve l)) (solve (List.hd grid))
+      (List.tl grid)
+  in
+  if not refine then coarse
+  else
+    List.fold_left
+      (fun best i ->
+        let l = coarse.Certificate.lambda +. (0.005 *. float_of_int i) in
+        if l > 0.0 && l < 1.0 then better best (solve l) else best)
+      coarse
+      (List.init 21 (fun k -> k - 10))
+
+let plain_feasible dg =
+  let n = float_of_int (Digraph.n_vertices (Delay_digraph.graph dg)) in
+  reference_feasible dg ~pairs:(n *. (n -. 1.0))
+    ~pred_src:(fun _ -> true)
+    ~pred_dst:(fun _ -> true)
+    ~start:1
+
+(* On the soundness harness's protocols, the pruned search returns the
+   exhaustive winner in every field, with and without refinement, and
+   every grid λ's lower end is below its certified norm. *)
+let prop_pruned_search_exhaustive =
+  QCheck.Test.make ~name:"pruned λ search = exhaustive search, bit for bit"
+    ~count:40 arb_harness_case
+    (fun (mode, (_, net), period, seed, density, length, _) ->
+      let sys = Builders.random_systolic (net ()) mode ~period ~seed ~density in
+      let dg = Delay_digraph.of_systolic sys ~length in
+      let feasible = plain_feasible dg in
+      let lows = Delay_matrix.norm_lower_bounds dg grid in
+      List.for_all2
+        (fun low lambda ->
+          low <= (Delay_matrix.norm_blockwise dg lambda).Spectral.upper)
+        (Array.to_list lows) grid
+      && same_certificate (Certificate.certify dg ~mode)
+           (reference_certificate ~mode ~feasible dg)
+      && same_certificate
+           (Certificate.certify ~refine:true dg ~mode)
+           (reference_certificate ~refine:true ~mode ~feasible dg))
+
+let test_pruned_separator_exhaustive () =
+  let check_case ~dim ~period ~seed ~length =
+    let d = 2 in
+    let g = Families.de_bruijn_directed d dim in
+    let sep = Separator.de_bruijn ~d ~dim in
+    let sys =
+      Builders.random_systolic g Protocol.Directed ~period ~seed ~density:1.0
+    in
+    let dg = Delay_digraph.of_systolic sys ~length in
+    let mem vs v = List.mem v vs in
+    let dist =
+      Metrics.set_distance g sep.Separator.v1 sep.Separator.v2
+    in
+    let feasible =
+      reference_feasible dg
+        ~pairs:
+          (float_of_int (List.length sep.Separator.v1)
+          *. float_of_int (List.length sep.Separator.v2))
+        ~pred_src:(fun a -> mem sep.Separator.v1 a.Delay_digraph.src)
+        ~pred_dst:(fun a -> mem sep.Separator.v2 a.Delay_digraph.dst)
+        ~start:(max 1 (dist - 1))
+    in
+    check
+      (Printf.sprintf "separator dim=%d seed=%d" dim seed)
+      true
+      (same_certificate
+         (Certificate.certify_separator dg ~mode:Protocol.Directed ~sep)
+         (reference_certificate ~mode:Protocol.Directed ~feasible dg))
+  in
+  check_case ~dim:5 ~period:6 ~seed:5 ~length:60;
+  List.iter
+    (fun seed -> check_case ~dim:4 ~period:5 ~seed ~length:40)
+    [ 0; 1; 7; 4_242 ]
+
+(* A counting [~norm] shows which λ the search solved: the winner is
+   among them, and every other grid λ has a cap below the winner's bound,
+   or equal to it at a later grid position.  Q6's half-duplex sweep
+   solves fewer than the 19 grid points. *)
+let test_pruned_search_skips () =
+  List.iter
+    (fun (name, sys, most) ->
+      let t = Option.get (Gossip_simulate.Engine.gossip_time sys) in
+      let dg = Delay_digraph.of_systolic sys ~length:t in
+      let mode = Systolic.mode sys in
+      let solved = ref [] in
+      let norm dg lambda =
+        solved := lambda :: !solved;
+        Delay_matrix.norm_blockwise dg lambda
+      in
+      let cert = Certificate.certify ~norm dg ~mode in
+      let feasible = plain_feasible dg in
+      check (name ^ ": same as the exhaustive search") true
+        (same_certificate cert (reference_certificate ~mode ~feasible dg));
+      check (name ^ ": the winner is solved") true
+        (List.mem cert.Certificate.lambda !solved);
+      let lows = Delay_matrix.norm_lower_bounds dg grid in
+      let winner =
+        Option.get
+          (List.find_index (fun l -> l = cert.Certificate.lambda) grid)
+      in
+      List.iteri
+        (fun i lambda ->
+          if not (List.mem lambda !solved) then begin
+            let cap = feasible lows.(i) lambda in
+            check
+              (Printf.sprintf "%s: λ=%.2f cannot displace the winner" name
+                 lambda)
+              true
+              (cap < cert.Certificate.bound
+              || (cap = cert.Certificate.bound && i > winner))
+          end)
+        grid;
+      check
+        (Printf.sprintf "%s: %d of 19 λ solved" name (List.length !solved))
+        true
+        (List.length !solved <= most))
+    [
+      ("Q6 hd", Builders.hypercube_sweep ~dim:6 ~full_duplex:false, 18);
+      ( "DB(2,4) hd",
+        Builders.edge_coloring_half_duplex (Families.de_bruijn 2 4),
+        19 );
+      ("C16 rotate", Builders.cycle_rotate 16, 19);
+    ]
+
+(* --- the delay digraph that stores no arcs --- *)
+
+(* Definition 3.3 by brute force: (a, b) is an arc when a's head is b's
+   tail and 1 <= b.round - a.round < window, listed by tail and then by
+   head index. *)
+let reference_arcs dg =
+  let m = Delay_digraph.n_activations dg and w = Delay_digraph.window dg in
+  let arcs = ref [] in
+  for tail = 0 to m - 1 do
+    let a = Delay_digraph.activation dg tail in
+    for head = 0 to m - 1 do
+      let b = Delay_digraph.activation dg head in
+      let delay = b.Delay_digraph.round - a.Delay_digraph.round in
+      if a.Delay_digraph.dst = b.Delay_digraph.src && delay >= 1 && delay < w
+      then arcs := (tail, head, delay) :: !arcs
+    done
+  done;
+  List.rev !arcs
+
+let prop_digraph_without_arcs =
+  QCheck.Test.make ~name:"delay digraph: arcs, count, find, distances"
+    ~count:60 arb_harness_case
+    (fun (mode, (_, net), period, seed, density, length, _) ->
+      let g = net () in
+      let sys = Builders.random_systolic g mode ~period ~seed ~density in
+      let dg = Delay_digraph.of_systolic sys ~length in
+      let arcs = ref [] in
+      Delay_digraph.iter_arcs
+        (fun ~tail ~head ~delay -> arcs := (tail, head, delay) :: !arcs)
+        dg;
+      let expected = reference_arcs dg in
+      let m = Delay_digraph.n_activations dg in
+      let round k = (Delay_digraph.activation dg k).Delay_digraph.round in
+      List.rev !arcs = expected
+      && Delay_digraph.n_delay_arcs dg = List.length expected
+      && List.for_all
+           (fun k ->
+             let a = Delay_digraph.activation dg k in
+             Delay_digraph.find dg ~src:a.Delay_digraph.src
+               ~dst:a.Delay_digraph.dst ~round:a.Delay_digraph.round
+             = Some k
+             (* one round past the expansion holds no activation *)
+             && Delay_digraph.find dg ~src:a.Delay_digraph.src
+                  ~dst:a.Delay_digraph.dst ~round:length
+                = None)
+           (List.init m Fun.id)
+      && Delay_digraph.find dg ~src:(Digraph.n_vertices g) ~dst:0 ~round:0
+         = None
+      && List.for_all
+           (fun k ->
+             let dist = Delay_digraph.distances_from dg k in
+             dist.(k) = 0
+             && List.for_all
+                  (fun (tail, head, _) ->
+                    dist.(tail) = max_int || dist.(head) <> max_int)
+                  expected
+             && Array.for_all Fun.id
+                  (Array.mapi
+                     (fun j d -> d = max_int || d = round j - round k)
+                     dist))
+           (List.init m Fun.id))
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -855,4 +1109,9 @@ let suite =
     q prop_soundness_harness;
     ("certificate certifies from the upper end", `Quick,
       test_certificate_certifies_from_upper);
+    q prop_pruned_search_exhaustive;
+    ("pruned separator search = exhaustive", `Quick,
+      test_pruned_separator_exhaustive);
+    ("pruned search skips only losing λ", `Quick, test_pruned_search_skips);
+    q prop_digraph_without_arcs;
   ]

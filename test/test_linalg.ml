@@ -471,6 +471,26 @@ let prop_bracket_block_diag =
       && d.Spectral.iterations = e.Spectral.iterations
       && d.Spectral.converged = e.Spectral.converged)
 
+(* The power kernel allocates nothing per step: a solve run to its
+   10,000-step cap (a negative tolerance never stops it earlier) costs
+   its start vector, buffers and component matrix, a few hundred words,
+   where a step that boxed its floats would cost several words each. *)
+let test_power_kernel_allocation_free () =
+  let m =
+    Dense.init 12 12 (fun i j ->
+        1.0 +. float_of_int (((i * 7) + (j * 3)) mod 5))
+  in
+  let options =
+    { Spectral.default_options with Spectral.tol = -1.0; max_iter = 10_000 }
+  in
+  ignore (Spectral.norm2_dense ~options m);
+  let before = Gc.minor_words () in
+  ignore (Spectral.norm2_dense ~options m);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 10,000 steps" words)
+    true (words < 2_000.0)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -517,4 +537,5 @@ let suite =
     ("bracket edge cases", `Quick, test_bracket_edges);
     q prop_bracket_bounds_estimates;
     q prop_bracket_block_diag;
+    ("power kernel allocation-free", `Quick, test_power_kernel_allocation_free);
   ]
