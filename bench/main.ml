@@ -1367,8 +1367,11 @@ let print_robustness_overhead () =
    table; the Q(20) half-duplex sweep runs on its pairing arm, the one
    every structured colouring takes; and the same sweep through
    [Fault_tolerant.replicate ~k:1] runs on its sender arm, the one every
-   fault-tolerant wrapper takes.  The two Q(20) rows have their own
-   gauges (the n-keyed DB gauge name would collide at n = 2^20). *)
+   fault-tolerant wrapper takes.  The DB and Q(20) rows are half duplex
+   on a pair arm, so [Chunked.run] merges each pairing's two rounds in
+   one pass; the rep2 row still runs round by round on the sender
+   path.  The two Q(20) rows have their own gauges (the n-keyed DB
+   gauge name would collide at n = 2^20). *)
 let print_scale_implicit () =
   let t =
     Table.make

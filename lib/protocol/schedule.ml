@@ -170,13 +170,15 @@ let of_pairing ~name ~n ~pairings ~full_duplex pairing =
    color when [len] is odd. *)
 let cycle_colors len = if len mod 2 = 0 then 2 else 3
 
-let cycle_edge_color len j = if j = len - 1 && len mod 2 = 1 then 2 else j mod 2
+let cycle_edge_color len j = if j = len - 1 && len land 1 = 1 then 2 else j land 1
 
+(* [x]'s two edges are [x] and [x - 1] (mod len); on [0 <= x < len] the
+   neighbours are stepped to with a compare and a wrap, not a division *)
 let cycle_partner len color x =
-  if cycle_edge_color len x = color then (x + 1) mod len
-  else if cycle_edge_color len ((x + len - 1) mod len) = color then
-    (x + len - 1) mod len
-  else -1
+  if cycle_edge_color len x = color then if x = len - 1 then 0 else x + 1
+  else
+    let prev = if x = 0 then len - 1 else x - 1 in
+    if cycle_edge_color len prev = color then prev else -1
 
 let hypercube_sweep ~dim ~full_duplex =
   if dim < 1 then invalid_arg "Schedule.hypercube_sweep: dim must be >= 1";
@@ -202,7 +204,8 @@ let torus_colored ~rows ~cols ~full_duplex =
     ~name:(Printf.sprintf "Torus(%dx%d) colored" rows cols)
     ~n:(rows * cols) ~pairings:(hc + vc) ~full_duplex
     (fun t v ->
-      let r = v / cols and c = v mod cols in
+      let r = v / cols in
+      let c = v - (r * cols) in
       if t < hc then
         let c' = cycle_partner cols t c in
         if c' < 0 then -1 else (r * cols) + c'
@@ -218,7 +221,8 @@ let ccc_colored ~dim ~full_duplex =
     ~n:(dim * (1 lsl dim))
     ~pairings:(cc + 1) ~full_duplex
     (fun t v ->
-      let w = v / dim and i = v mod dim in
+      let w = v / dim in
+      let i = v - (w * dim) in
       if t < cc then
         let i' = cycle_partner dim t i in
         if i' < 0 then -1 else (w * dim) + i'

@@ -198,7 +198,7 @@ val cycle_colors : int -> int
 
 (** [cycle_partner len color x] is the neighbor of [x] along the
     [color]-colored edge of the [len]-cycle, or [-1] when no incident
-    edge has that color. *)
+    edge has that color; [x] must be a vertex, [0 <= x < len]. *)
 val cycle_partner : int -> int -> int -> int
 
 (** {1 Structured generators}

@@ -35,10 +35,9 @@ type state = {
 
 (* SWAR over the 64-bit word, bit 63 (the sign bit) included: 2-, 4-
    and 8-bit partial counts, then one multiply sums the eight bytes into
-   the top one.  It lives beside the merges rather than in [Bitset]:
-   dune's default profile compiles with [-opaque], so a call into
-   another module is never inlined and would box its [int64]
-   argument. *)
+   the top one.  It lives beside the merges: dune's default profile
+   compiles with [-opaque], so a call into another module is never
+   inlined and would box its [int64] argument. *)
 let[@inline] popcount64 x =
   let open Int64 in
   let x = sub x (logand (shift_right_logical x 1) 0x5555_5555_5555_5555L) in
@@ -86,28 +85,31 @@ let coverage st =
 let complete st = st.known = st.n * st.items
 
 (* The one merge rule, on the word rows of vertices [v] and [x] at byte
-   offsets [dv] and [dx]; each returns the number of newly-set bits,
-   counted by [popcount64].  [exchange] is a full-duplex pair: both rows
-   get old(v) | old(x), identical to the start-of-round snapshot
-   semantics, so the pair's lower endpoint owns the write.  [absorb] is
-   a one-directional arc x -> v: x is not written in a round it sends
-   in, so v |= x in place is race-free. *)
-let[@inline] exchange state words dv dx =
-  let delta = ref 0 in
+   offsets [dv] and [dx]; each counts the newly-set bits with
+   [popcount64].  [exchange] is a full-duplex pair: both rows get
+   old(v) | old(x), identical to the start-of-round snapshot semantics,
+   so the pair's lower endpoint owns the write.  It counts its two
+   directions apart: it returns the bits new to x,
+   popcount(old v & ~old x), and adds those new to v,
+   popcount(old x & ~old v), to the caller's counter [to_v].  [absorb]
+   is a one-directional arc x -> v: x is not written in a round it sends
+   in, so v |= x in place is race-free; it returns the bits new to v. *)
+let[@inline] exchange state words dv dx ~to_v =
+  let to_x = ref 0 in
   for w = 0 to words - 1 do
     let ov = dv + (8 * w) and ox = dx + (8 * w) in
     let a = Bytes.get_int64_ne state ov and b = Bytes.get_int64_ne state ox in
     let u = Int64.logor a b in
     if u <> a then begin
-      delta := !delta + popcount64 (Int64.logand b (Int64.lognot a));
+      to_v := !to_v + popcount64 (Int64.logand b (Int64.lognot a));
       Bytes.set_int64_ne state ov u
     end;
     if u <> b then begin
-      delta := !delta + popcount64 (Int64.logand a (Int64.lognot b));
+      to_x := !to_x + popcount64 (Int64.logand a (Int64.lognot b));
       Bytes.set_int64_ne state ox u
     end
   done;
-  !delta
+  !to_x
 
 let[@inline] absorb state words dv dx =
   let delta = ref 0 in
@@ -126,34 +128,43 @@ let[@inline] absorb state words dv dx =
    splits a pairing into rounds: [phase < 0] is a full-duplex round, and
    the pair exchanges; in half duplex the lower endpoint [v] sends when
    [phase = 0] and the higher [x] when [phase = 1], and the other end
-   absorbs.  Only the pair's own two rows are read or written. *)
-let[@inline] merge_pair state words phase v x =
+   absorbs.  It counts by direction as [exchange] does: it returns the
+   bits new to [x] and adds those new to [v] to [to_v].  Only the pair's
+   own two rows are read or written. *)
+let[@inline] merge_pair state words phase v x ~to_v =
   let dv = 8 * v * words and dx = 8 * x * words in
-  if phase < 0 then exchange state words dv dx
+  if phase < 0 then exchange state words dv dx ~to_v
   else if phase = 0 then absorb state words dx dv
-  else absorb state words dv dx
+  else begin
+    to_v := !to_v + absorb state words dv dx;
+    0
+  end
 
 (* One vertex block of one round, in place.  [sender] is the round's
    receiver -> sender function, staged once per block by [Schedule.sender]
    so the round's own work (its index within the period, pairing, phase,
    table) is not redone per vertex.  A round is a matching, so a sender
    is never also a receiver except through a full-duplex exchange
-   ([sender v = x] and [sender x = v]).  The cross-block sum of newly-set
-   bits is an exact integer, so results are identical for any worker
+   ([sender v = x] and [sender x = v]).  Returns the newly-set bits as
+   two counts, the exchanges' lower endpoints' apart; the cross-block
+   sums are exact integers, so results are identical for any worker
    count. *)
 let block_delta st sender lo hi =
   let words = st.words and state = st.state in
-  let delta = ref 0 in
+  let delta = ref 0 and to_lower = ref 0 in
   for v = lo to hi - 1 do
     let x = sender v in
     if x >= 0 && x < st.n && x <> v then
       if sender x = v then begin
         if v < x then
-          delta := !delta + exchange state words (8 * v * words) (8 * x * words)
+          delta :=
+            !delta
+            + exchange state words (8 * v * words) (8 * x * words)
+                ~to_v:to_lower
       end
       else delta := !delta + absorb state words (8 * v * words) (8 * x * words)
   done;
-  !delta
+  (!delta, !to_lower)
 
 (* The sender-table arm, for tabled schedules ({!Schedule.tables}): [snd]
    is the round's receiver-indexed sender table, and the merge is
@@ -162,66 +173,74 @@ let block_delta st sender lo hi =
    are identical to the sender path's, with no closure call per vertex. *)
 let tabled_block_delta st snd lo hi =
   let words = st.words and state = st.state and n = st.n in
-  let delta = ref 0 in
+  let delta = ref 0 and to_lower = ref 0 in
   for v = lo to hi - 1 do
     let x = snd.(v) in
     if x >= 0 && x < n && x <> v then
       if snd.(x) = v then begin
         if v < x then
-          delta := !delta + exchange state words (8 * v * words) (8 * x * words)
+          delta :=
+            !delta
+            + exchange state words (8 * v * words) (8 * x * words)
+                ~to_v:to_lower
       end
       else delta := !delta + absorb state words (8 * v * words) (8 * x * words)
   done;
-  !delta
+  (!delta, !to_lower)
 
 (* The pairing arm, for {!Schedule.of_pairing} schedules: [partner] is
    the round's pairing, staged once per block, and every pair [v < x] is
    merged once, by the block that holds its lower endpoint [v]; the
    higher endpoint's block skips it.  The pairing is an involution, so
-   the pairs are disjoint, and any block split writes disjoint rows. *)
+   the pairs are disjoint, and any block split writes disjoint rows.
+   Returns the bits new to higher endpoints, then to lower ones. *)
 let pairing_delta st partner phase lo hi =
   let words = st.words and state = st.state and n = st.n in
-  let delta = ref 0 in
+  let to_higher = ref 0 and to_lower = ref 0 in
   for v = lo to hi - 1 do
     let x = partner v in
     if v < x && x < n then
-      delta := !delta + merge_pair state words phase v x
+      to_higher := !to_higher + merge_pair state words phase v x ~to_v:to_lower
   done;
-  !delta
+  (!to_higher, !to_lower)
 
 (* The candidate-table arm, for schedules with a {!Schedule.nomination}:
    [st.pairs.(lo .. hi - 1)] are lower endpoints [v] of mutual pairs,
-   whose partner is [x = cand.(v) > v], merged by [merge_pair].  Pairs
-   are disjoint, so any split of the list into ranges is race-free. *)
+   whose partner is [x = cand.(v) > v], merged and counted as
+   [pairing_delta] merges and counts them.  Pairs are disjoint, so any
+   split of the list into ranges is race-free. *)
 let pairs_delta st phase lo hi =
   let words = st.words and state = st.state in
   let cand = st.cand and pairs = st.pairs in
-  let delta = ref 0 in
+  let to_higher = ref 0 and to_lower = ref 0 in
   for i = lo to hi - 1 do
     let v = pairs.(i) in
-    delta := !delta + merge_pair state words phase v cand.(v)
+    to_higher :=
+      !to_higher + merge_pair state words phase v cand.(v) ~to_v:to_lower
   done;
-  !delta
+  (!to_higher, !to_lower)
 
-(* [f lo hi] over a split of [0, len) into blocks, summed: one block at
-   one worker, else a few blocks per worker, which keeps the strided
-   distribution balanced when block costs differ. *)
+(* [f lo hi] over a split of [0, len) into blocks, its two counts summed
+   apart: one block at one worker, else a few blocks per worker, which
+   keeps the strided distribution balanced when block costs differ. *)
 let over_blocks workers len f =
   if workers = 1 then f 0 len
   else
     let nblocks = max 1 (min len (workers * 4)) in
     Parallel.reduce ~domains:workers nblocks
       (fun b -> f (b * len / nblocks) ((b + 1) * len / nblocks))
-      ( + ) 0
+      (fun (a, b) (c, d) -> (a + c, b + d))
+      (0, 0)
 
 (* The round's pairing index and merge phase, as [of_pairing] lays the
    rounds out: pairing [r mod pairings] in full duplex (phase -1), and
-   in half duplex pairing [(r mod 2·pairings) / 2], phase [r mod 2]. *)
-let pairing_phase mode pairings round =
+   in half duplex pairing [(r mod 2·pairings) / 2], phase [r mod 2] —
+   or, [fused], phase -1 for the pairing's two rounds as one exchange. *)
+let pairing_phase ~fused mode pairings round =
   if mode = Protocol.Full_duplex then (round mod pairings, -1)
   else
     let r = round mod (2 * pairings) in
-    (r / 2, r mod 2)
+    (r / 2, if fused then -1 else r mod 2)
 
 (* Refills [st.cand] only when the pairing instance changes — every
    round in full duplex, every second round in half duplex — staging
@@ -230,8 +249,8 @@ let pairing_phase mode pairings round =
    pass; every round of the pairing merges from that list alone.  The
    fill writes only its own block and finishes before the pass reads
    the table. *)
-let nominated_round workers st mode (pairings, candidate) round =
-  let p, phase = pairing_phase mode pairings round in
+let nominated_round workers st mode (pairings, candidate) round ~fused =
+  let p, phase = pairing_phase ~fused mode pairings round in
   (match st.cand_key with
   | Some (c, q) when c == candidate && q = p -> ()
   | _ ->
@@ -248,7 +267,7 @@ let nominated_round workers st mode (pairings, candidate) round =
              for v = lo to hi - 1 do
                cand.(v) <- nominee v
              done;
-             0));
+             (0, 0)));
       let pairs = st.pairs and np = ref 0 in
       for v = 0 to st.n - 1 do
         let x = cand.(v) in
@@ -261,39 +280,44 @@ let nominated_round workers st mode (pairings, candidate) round =
       st.cand_key <- Some (candidate, p));
   over_blocks workers st.npairs (pairs_delta st phase)
 
+(* One pass over the state: round [round] of [sched], or, [fused], the
+   two half-duplex rounds [round] (even) and [round + 1] of one pairing
+   on a pair arm.  Four arms: a tabled schedule merges from its period's
+   sender tables, a proposal schedule from its candidate table's pair
+   list, any other [of_pairing] schedule from its pairing, staged once
+   per block, and every other schedule stages [Schedule.sender sched
+   round] once per block and applies it per vertex.  Returns two counts
+   whose sum is the pass's newly-set bits; a pair arm's are the bits new
+   to higher endpoints and to lower ones, so a fused pass's are
+   [round]'s and [round + 1]'s (see [run]). *)
+let pass workers st sched round ~fused =
+  match
+    (Schedule.tables sched, Schedule.nomination sched, Schedule.pairing sched)
+  with
+  | Some tables, _, _ ->
+      let snd = tables.(round mod Array.length tables) in
+      over_blocks workers st.n (tabled_block_delta st snd)
+  | None, Some nomination, _ ->
+      nominated_round workers st (Schedule.mode sched) nomination round ~fused
+  | None, None, Some (pairings, pairing) ->
+      let p, phase = pairing_phase ~fused (Schedule.mode sched) pairings round in
+      over_blocks workers st.n (fun lo hi ->
+          pairing_delta st (pairing p) phase lo hi)
+  | None, None, None ->
+      over_blocks workers st.n (fun lo hi ->
+          block_delta st (Schedule.sender sched round) lo hi)
+
+let workers_of = function
+  | Some d -> max 1 d
+  | None -> Parallel.recommended_domains ()
+
 let apply_round ?domains st sched round =
   if Schedule.n_vertices sched <> st.n then
     invalid_arg
       "Chunked.apply_round: schedule and state disagree on vertex count";
   if round < 0 then invalid_arg "Chunked.apply_round: negative round";
-  let workers =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Parallel.recommended_domains ()
-  in
-  (* four arms: a tabled schedule merges from its period's sender
-     tables, a proposal schedule from its candidate table's pair list,
-     any other [of_pairing] schedule from its pairing, staged once per
-     block, and every other schedule stages [Schedule.sender sched
-     round] once per block and applies it per vertex *)
-  let mode = Schedule.mode sched in
-  let delta =
-    match
-      (Schedule.tables sched, Schedule.nomination sched, Schedule.pairing sched)
-    with
-    | Some tables, _, _ ->
-        let snd = tables.(round mod Array.length tables) in
-        over_blocks workers st.n (tabled_block_delta st snd)
-    | None, Some nomination, _ -> nominated_round workers st mode nomination round
-    | None, None, Some (pairings, pairing) ->
-        let p, phase = pairing_phase mode pairings round in
-        over_blocks workers st.n (fun lo hi ->
-            pairing_delta st (pairing p) phase lo hi)
-    | None, None, None ->
-        over_blocks workers st.n (fun lo hi ->
-            block_delta st (Schedule.sender sched round) lo hi)
-  in
-  st.known <- st.known + delta
+  let first, second = pass (workers_of domains) st sched round ~fused:false in
+  st.known <- st.known + first + second
 
 type checkpoint = {
   round : int;
@@ -381,6 +405,29 @@ let run ?domains ?cap ?(checkpoint_every = 0) ?on_checkpoint st sched =
           ];
     match on_checkpoint with Some f -> f cp | None -> ()
   in
+  let end_round () =
+    incr i;
+    if complete st then time := Some !i;
+    if checkpoint_every > 0 && (!i mod checkpoint_every = 0 || !time <> None)
+    then note_checkpoint ()
+  in
+  let workers = workers_of domains in
+  (* On a pair arm, a half-duplex pairing's two rounds r (even) and
+     r + 1 run as one exchange pass.  After round r, x holds
+     old(x) | old(v); after round r + 1, v holds old(v) | old(x): both
+     rows end as the exchange writes them, and the pass's two counts are
+     round r's new bits (set in x) and round r + 1's (set in v).  Round
+     r's count alone gives the completion test and the coverage between
+     the rounds, though the state, which [on_checkpoint] might read
+     there, already holds round r + 1's merges.  A state complete after
+     round r is full, so round r + 1 writes nothing and stopping at
+     r + 1 leaves the per-round loop's state.  When r + 1 = cap, round r
+     runs alone. *)
+  let pairs =
+    Schedule.mode sched = Protocol.Half_duplex
+    && Schedule.tables sched = None
+    && (Schedule.nomination sched <> None || Schedule.pairing sched <> None)
+  in
   Instrument.span "simulate.chunked-run" (fun () ->
       (* a state complete before its first round takes no round *)
       if complete st then begin
@@ -388,11 +435,14 @@ let run ?domains ?cap ?(checkpoint_every = 0) ?on_checkpoint st sched =
         if checkpoint_every > 0 then note_checkpoint ()
       end;
       while !time = None && !i < cap do
-        apply_round ?domains st sched !i;
-        incr i;
-        if complete st then time := Some !i;
-        if checkpoint_every > 0 && (!i mod checkpoint_every = 0 || !time <> None)
-        then note_checkpoint ()
+        let fused = pairs && !i mod 2 = 0 && !i + 1 < cap in
+        let first, second = pass workers st sched !i ~fused in
+        st.known <- st.known + first + (if fused then 0 else second);
+        end_round ();
+        if fused && !time = None then begin
+          st.known <- st.known + second;
+          end_round ()
+        end
       done);
   {
     time = !time;

@@ -45,7 +45,8 @@
     {!Gossip_protocol.Schedule.of_pairing} splits it: a full-duplex pair
     exchanges, and in half duplex the lower endpoint sends to the
     higher one in the pairing's first round and the higher to the lower
-    in its second.  Every remaining schedule —
+    in its second; {!run} merges those two rounds in one pass (below).
+    Every remaining schedule —
     {!Gossip_protocol.Schedule.make},
     {!Gossip_protocol.Schedule.with_drops} and the
     {!Gossip_protocol.Fault_tolerant} wrappers — runs on the sender
@@ -74,7 +75,30 @@
     writes disjoint rows.  Every pass is a pure function of the state
     before the round and the round's matching, and the newly-set bit
     counts are summed exactly, so the result does not depend on the
-    domain count. *)
+    domain count.
+
+    {b One pass per half-duplex pairing.}  {!apply_round} runs one
+    round.  {!run} advances a half-duplex schedule on a pair arm (one
+    with a pairing or a nomination and no sender tables) one pairing at
+    a time: at an even round [r] with [r + 1] below the cap, one pass
+    merges every pair [v < x] of the pairing as a full-duplex exchange,
+    the two rounds [r] (lower to higher) and [r + 1] (higher to lower)
+    at once, with the same merge kernel and the same block loops as a
+    round.  It is exact.  After round [r], x holds old(x) ∪ old(v);
+    after round [r + 1], v holds old(v) ∪ old(x): both rows end as the
+    exchange writes them.  Round [r]'s new bits are
+    popcount(old v ∧ ¬old x), set in x, and round [r + 1]'s are
+    popcount(old x ∧ ¬old v), set in v; the exchange counts the two
+    apart, so the known count, the completion test and the checkpoint
+    after round [r] see round [r]'s bits alone.  A state complete after
+    round [r] has every tracked word full, so round [r + 1] writes
+    nothing, and stopping with [time = r + 1] leaves the per-round
+    state; the half-duplex Q(d) sweeps over 64 items with d > 6 end so,
+    Q(20) at round 39.  When [r + 1] is the cap, round [r] runs alone.
+    Pairs are disjoint and each is written by its lower endpoint's
+    block, so the result is the same at any domain count.  Every round
+    count, coverage, checkpoint and state bit is the per-round loop's;
+    the pass halves the passes over the state and the pairing calls. *)
 
 type state
 
@@ -108,8 +132,8 @@ val coverage : state -> float
 val complete : state -> bool
 
 (** [apply_round ?domains st sched round] executes (absolute) round
-    [round] of [sched] on [st], blockwise over the worker domains
-    (default {!Gossip_util.Parallel.recommended_domains}).  A tabled
+    [round] of [sched] on [st], and that round alone, blockwise over the
+    worker domains (default {!Gossip_util.Parallel.recommended_domains}).  A tabled
     schedule merges from [tables.(round mod period)]; a proposal
     schedule merges from the candidate table's pair list, which is
     rebuilt when [(candidate, pairing of round)] differs from what it
@@ -150,17 +174,23 @@ type outcome = {
 (** [run ?domains ?cap ?checkpoint_every ?on_checkpoint st sched]
     drives [st] under [sched] until complete or [cap] rounds (default
     [2n + 8·period·⌈log₂ n⌉ + 64] — covers linear-diameter cycles as
-    well as logarithmic families).  Completion is tested before the
-    first round too: a state already complete (no items, or one vertex)
-    runs no round and answers [time = Some 0], [rounds_run = 0].  When
-    [checkpoint_every = k > 0], a {!checkpoint} is recorded every [k]
-    rounds plus at the final round (round 0 for a state complete from
-    the start),
-    passed to [on_checkpoint] (the CLI's [--progress] ticker), and —
-    when a trace sink is installed — streamed as an
-    ["engine.checkpoint"] JSONL event carrying the full progress/
-    resource attribute set.  The whole run executes under the
-    ["simulate.chunked-run"] instrumentation span. *)
+    well as logarithmic families).  Its outcome, checkpoints and final
+    state are those of calling {!apply_round} on rounds [0, 1, …] and
+    testing completion after each, though a half-duplex pairing's two
+    rounds run as one pass (see the module header).  Completion is
+    tested before the first round too: a state already complete (no
+    items, or one vertex) runs no round and answers [time = Some 0],
+    [rounds_run = 0].  When [checkpoint_every = k > 0], a {!checkpoint}
+    is recorded every [k] rounds plus at the final round (round 0 for a
+    state complete from the start), passed to [on_checkpoint] (the
+    CLI's [--progress] ticker), and — when a trace sink is installed —
+    streamed as an ["engine.checkpoint"] JSONL event carrying the full
+    progress/resource attribute set.  A checkpoint taken between the two
+    rounds of a merged pairing reads the coverage after the first; while
+    [on_checkpoint] runs there, [st] may already hold the second round's
+    merges, so a callback should read the record, not the state.  The
+    whole run executes under the ["simulate.chunked-run"]
+    instrumentation span. *)
 val run :
   ?domains:int ->
   ?cap:int ->

@@ -10,8 +10,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create: negative capacity";
   { n; words = Array.make (max 1 (words_for n)) 0 }
 
-let capacity s = s.n
-
 let check s i =
   if i < 0 || i >= s.n then
     invalid_arg (Printf.sprintf "Bitset: element %d outside universe %d" i s.n)
@@ -53,24 +51,6 @@ let[@inline] popcount x =
   let x = (x + (x lsr 4)) land 0x0f0f0f0f0f0f0f0f in
   (x * 0x0101010101010101) lsr 56
 
-let union_into_count ~src ~dst =
-  if src.n <> dst.n then
-    invalid_arg "Bitset.union_into_count: capacity mismatch";
-  let added = ref 0 in
-  for w = 0 to Array.length dst.words - 1 do
-    let d = dst.words.(w) in
-    let u = d lor src.words.(w) in
-    if u <> d then begin
-      added := !added + popcount (u land lnot d);
-      dst.words.(w) <- u
-    end
-  done;
-  !added
-
-let blit ~src ~dst =
-  if src.n <> dst.n then invalid_arg "Bitset.blit: capacity mismatch";
-  Array.blit src.words 0 dst.words 0 (Array.length dst.words)
-
 let copy s = { n = s.n; words = Array.copy s.words }
 
 let union a b =
@@ -98,26 +78,9 @@ let subset a b =
   a.n = b.n
   && Array.for_all2 (fun wa wb -> wa land lnot wb = 0) a.words b.words
 
-let iter f s =
-  for i = 0 to s.n - 1 do
-    if mem s i then f i
-  done
-
-let fold f s init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) s;
-  !acc
-
-let elements s = List.rev (fold (fun i acc -> i :: acc) s [])
+let elements s = List.filter (mem s) (List.init s.n Fun.id)
 
 let of_list n xs =
   let s = create n in
   List.iter (add s) xs;
   s
-
-let pp ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       Format.pp_print_int)
-    (elements s)

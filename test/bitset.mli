@@ -1,19 +1,17 @@
-(** Fixed-capacity bitsets.
+(** Fixed-capacity bitsets: the knowledge sets of the Section 3
+    reference rule ([section3.ml]) that the simulator is tested against.
 
-    Knowledge sets in gossip simulations are subsets of the [n] information
-    items, one per processor, so the whole simulator state is an array of
-    [n] bitsets of capacity [n].  This module provides a compact array-of-
-    words representation tuned for the two hot operations of the simulator:
-    in-place union and full-set detection. *)
+    Knowledge sets in gossip simulations are subsets of the [n]
+    information items, one per processor, so the reference's whole state
+    is an array of [n] bitsets of capacity [n], in a compact
+    array-of-words representation.  It shares no code with
+    [Simulate.Chunked], which keeps its own 64-bit knowledge words. *)
 
 type t
 
 (** [create n] is the empty set over the universe [{0, ..., n-1}].
     @raise Invalid_argument if [n < 0]. *)
 val create : int -> t
-
-(** [capacity s] is the size of the universe [s] was created with. *)
-val capacity : t -> int
 
 (** [singleton n i] is the set [{i}] over universe size [n]. *)
 val singleton : int -> int -> t
@@ -32,15 +30,6 @@ val mem : t -> int -> bool
     The two sets must share the same capacity. *)
 val union_into : src:t -> dst:t -> unit
 
-(** [union_into_count ~src ~dst] is {!union_into} fused with the count of
-    elements of [src] that were {e not} already in [dst] — the simulation
-    engine's incremental knowledge bookkeeping.  One pass, no allocation. *)
-val union_into_count : src:t -> dst:t -> int
-
-(** [blit ~src ~dst] overwrites [dst] with the contents of [src] in place
-    (same capacity required) — reusable snapshot buffers for the engine. *)
-val blit : src:t -> dst:t -> unit
-
 (** [union a b] is a fresh set holding the union of [a] and [b]. *)
 val union : t -> t -> t
 
@@ -49,8 +38,8 @@ val inter : t -> t -> t
 
 (** [popcount w] is the number of set bits of the 63-bit word [w],
     bit 62 (the sign bit) included, so [popcount (-1) = 63] — the
-    count behind {!cardinal} and {!union_into_count}.  Constant time: a
-    branch-free SWAR count, not a loop over the set bits. *)
+    count behind {!cardinal}.  Constant time: a branch-free SWAR count,
+    not a loop over the set bits. *)
 val popcount : int -> int
 
 (** [cardinal s] is the number of elements in [s]. *)
@@ -71,18 +60,9 @@ val equal : t -> t -> bool
 (** [subset a b] is [true] iff every element of [a] belongs to [b]. *)
 val subset : t -> t -> bool
 
-(** [iter f s] applies [f] to every element in increasing order. *)
-val iter : (int -> unit) -> t -> unit
-
-(** [fold f s init] folds over elements in increasing order. *)
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-
 (** [elements s] lists the elements in increasing order. *)
 val elements : t -> int list
 
 (** [of_list n xs] is the set over universe [n] holding the elements of
     [xs]. *)
 val of_list : int -> int list -> t
-
-(** [pp] prints as [{e1, e2, ...}]. *)
-val pp : Format.formatter -> t -> unit

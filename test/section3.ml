@@ -5,7 +5,6 @@
    shares no code with Simulate.Chunked, which writes exchanges in place
    and owns each one from its lower endpoint. *)
 
-module Bitset = Gossip_util.Bitset
 module Digraph = Gossip_topology.Digraph
 module Systolic = Gossip_protocol.Systolic
 

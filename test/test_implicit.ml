@@ -664,12 +664,12 @@ let ref_concat (ra, sa) (rb, sb) =
       if i < sa then ra i v else rb (i - sa) v),
     sa + sb )
 
-(* the stride-[off] chord pairing of [augment]: the arcs {v, v + off}
-   form gcd(n, off) cycles, numbered here by walking each from its least
-   vertex (Fault_tolerant locates positions with a modular inverse
-   instead), and coloured like a cycle, or with one colour when the
-   cycles are single pairs *)
-let ref_chord ~n ~off ~full_duplex =
+(* the stride-[off] chord pairing of [augment] and its colour count:
+   the arcs {v, v + off} form gcd(n, off) cycles, numbered here by
+   walking each from its least vertex (Fault_tolerant locates positions
+   with a modular inverse instead), and coloured like a cycle, or with
+   one colour when the cycles are single pairs *)
+let chord_pairing ~n ~off =
   let pos = Array.make n (-1) and start = Array.make n 0 and len = ref 0 in
   for c = 0 to n - 1 do
     if pos.(c) < 0 then begin
@@ -684,14 +684,15 @@ let ref_chord ~n ~off ~full_duplex =
     end
   done;
   let len = !len in
-  let pairing, colors =
-    if len = 2 then ((fun t v -> if t = 0 then (v + off) mod n else -1), 1)
-    else
-      ( (fun t v ->
-          let p' = Schedule.cycle_partner len t pos.(v) in
-          if p' < 0 then -1 else (start.(v) + (p' * off)) mod n),
-        Schedule.cycle_colors len )
-  in
+  if len = 2 then ((fun t v -> if t = 0 then (v + off) mod n else -1), 1)
+  else
+    ( (fun t v ->
+        let p' = Schedule.cycle_partner len t pos.(v) in
+        if p' < 0 then -1 else (start.(v) + (p' * off)) mod n),
+      Schedule.cycle_colors len )
+
+let ref_chord ~n ~off ~full_duplex =
+  let pairing, colors = chord_pairing ~n ~off in
   (ref_of_pairing ~pairings:colors ~full_duplex pairing,
    if full_duplex then colors else 2 * colors)
 
@@ -1089,6 +1090,117 @@ let prop_popcount64_matches_bit_loop =
            ]))
     (fun x -> Chunked.popcount64 x = popcount64_reference x)
 
+(* --- run against a round-by-round loop --- *)
+
+(* [Chunked.run]'s contract, literally, one [apply_round] per round:
+   completion tested before the first round and after every round, a
+   checkpoint every [checkpoint_every] rounds and at the last.  [run]
+   merges a half-duplex pairing's two rounds in one pass; this loop never
+   does. *)
+let round_by_round ~domains ~cap ~checkpoint_every st sched =
+  let time = ref None and i = ref 0 and checkpoints = ref [] in
+  let checkpoint () = checkpoints := (!i, Chunked.coverage st) :: !checkpoints in
+  if Chunked.complete st then begin
+    time := Some 0;
+    if checkpoint_every > 0 then checkpoint ()
+  end;
+  while !time = None && !i < cap do
+    Chunked.apply_round ~domains st sched !i;
+    incr i;
+    if Chunked.complete st then time := Some !i;
+    if checkpoint_every > 0 && (!i mod checkpoint_every = 0 || !time <> None)
+    then checkpoint ()
+  done;
+  (!time, !i, Chunked.coverage st, List.rev !checkpoints)
+
+let checkpoint_curve o =
+  List.map (fun c -> (c.Chunked.round, c.Chunked.coverage)) o.Chunked.checkpoints
+
+(* the pair-arm schedules: the structured colorings above, an augment's
+   chord pairing, and proposals *)
+let gen_pair_arm_schedule =
+  QCheck.Gen.(
+    let* full_duplex = bool in
+    frequency
+      [
+        (4, gen_paired_schedule);
+        ( 1,
+          let* n = int_range 5 60 in
+          let* off = int_range 2 (n / 2) in
+          let pairing, pairings = chord_pairing ~n ~off in
+          return
+            (Schedule.of_pairing
+               ~name:(Printf.sprintf "chord%d of %d" off n)
+               ~n ~pairings ~full_duplex pairing) );
+        ( 1,
+          let* kautz = bool in
+          let* d = int_range 2 3 in
+          let family = if kautz then Implicit.kautz d else Implicit.de_bruijn d in
+          let* dim = int_range 1 (if d = 2 then 6 else 4) in
+          let* period = int_range 1 8 in
+          let* seed = int_range 0 1_000_000 in
+          return (Schedule.proposal (family dim) ~period ~seed ~full_duplex) );
+      ])
+
+let prop_run_matches_round_loop =
+  QCheck.Test.make ~name:"run = a round-by-round apply_round loop" ~count:200
+    (QCheck.make
+       ~print:(fun (sched, items, cap, checkpoint_every, domains) ->
+         Printf.sprintf "%s %s items=%s cap=%d checkpoint_every=%d domains=%d"
+           (Schedule.name sched)
+           (Protocol.mode_to_string (Schedule.mode sched))
+           (match items with None -> "n" | Some k -> string_of_int k)
+           cap checkpoint_every domains)
+       QCheck.Gen.(
+         let* sched = gen_pair_arm_schedule in
+         let* items = oneofl [ None; Some 64; Some 1 ] in
+         let* cap = oneof [ oneofl [ 1; 2; 3; 4 ]; int_range 5 80; return 400 ] in
+         let* checkpoint_every = oneofl [ 0; 1; 3 ] in
+         let* domains = oneofl [ 1; 2 ] in
+         return (sched, items, cap, checkpoint_every, domains)))
+    (fun (sched, items, cap, checkpoint_every, domains) ->
+      let n = Schedule.n_vertices sched in
+      let st = Chunked.create ?items n and st' = Chunked.create ?items n in
+      let o = Chunked.run ~domains ~cap ~checkpoint_every st sched in
+      let time, rounds_run, coverage, checkpoints =
+        round_by_round ~domains ~cap ~checkpoint_every st' sched
+      in
+      o.Chunked.time = time
+      && o.Chunked.rounds_run = rounds_run
+      && o.Chunked.final_coverage = coverage
+      && checkpoint_curve o = checkpoints
+      && same_knowledge st st')
+
+let test_sweep_completes_on_a_pairs_first_round () =
+  (* item 0 alone, or 64 items on a cube of more than 64 vertices, is
+     known everywhere once the last pairing's lower endpoints have sent:
+     after round 2d - 2, the first of that pairing's two rounds *)
+  List.iter
+    (fun (items, dims) ->
+      List.iter
+        (fun d ->
+          let sched = Schedule.hypercube_sweep ~dim:d ~full_duplex:false in
+          let n = 1 lsl d in
+          let case = Printf.sprintf "Q(%d) hd, %d items" d items in
+          let st = Chunked.create ~items n and st' = Chunked.create ~items n in
+          let o = Chunked.run ~domains:1 ~checkpoint_every:1 st sched in
+          let time, rounds_run, _, checkpoints =
+            round_by_round ~domains:1 ~cap:max_int ~checkpoint_every:1 st' sched
+          in
+          check_int (case ^ ": completes at 2d - 1") ((2 * d) - 1)
+            (get o.Chunked.time);
+          check_int (case ^ ": runs 2d - 1 rounds") ((2 * d) - 1)
+            o.Chunked.rounds_run;
+          check (case ^ ": incomplete after 2d - 2 rounds") true
+            (d = 1 || List.assoc ((2 * d) - 2) checkpoints < 1.0);
+          check (case ^ ": the loop stops there too") true
+            (time = o.Chunked.time && rounds_run = o.Chunked.rounds_run);
+          check (case ^ ": the loop's checkpoints") true
+            (checkpoint_curve o = checkpoints);
+          check (case ^ ": the loop's state") true (same_knowledge st st'))
+        dims)
+    [ (1, [ 1; 2; 3; 5; 8; 12 ]); (64, [ 7; 8; 10; 12 ]) ]
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -1122,4 +1234,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pairing_arm_matches_sender_path;
     ("knowledge words at the 64-item boundary", `Quick, test_word_boundary);
     QCheck_alcotest.to_alcotest prop_popcount64_matches_bit_loop;
+    QCheck_alcotest.to_alcotest prop_run_matches_round_loop;
+    ("half-duplex Q(d) completes at 2d - 1", `Quick,
+     test_sweep_completes_on_a_pairs_first_round);
   ]

@@ -1,5 +1,6 @@
-(* Unit and property tests for Gossip_util: bitsets, PRNG, numeric
-   solvers, table rendering. *)
+(* Unit and property tests for Gossip_util (PRNG, numeric solvers,
+   table rendering) and for the Section 3 reference's bitsets
+   (bitset.ml). *)
 
 open Gossip_util
 
