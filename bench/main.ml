@@ -1363,8 +1363,10 @@ let print_robustness_overhead () =
    items through a Schedule sender function, so the same curve extends
    two orders of magnitude further; the gauge per size lands in the
    --json report.  Each row runs on one of the chunked engine's arms:
-   the DB(2,D) rows are proposal schedules, which run on its candidate
-   table; the Q(20) half-duplex sweep runs on its pairing arm, the one
+   the DB(2,D) rows are proposal schedules, which run on its memo of
+   each pairing's mutual pairs (a pairing revisited in a later period
+   merges from its memo row); the Q(20) half-duplex sweep runs on its
+   pairing arm, the one
    every structured colouring takes; and the same sweep through
    [Fault_tolerant.replicate ~k:1] runs on its sender arm, the one every
    fault-tolerant wrapper takes.  The DB and Q(20) rows are half duplex

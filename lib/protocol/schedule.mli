@@ -161,9 +161,9 @@ val to_systolic : t -> Gossip_topology.Digraph.t -> Systolic.t
     to a one-directional transmission.  [round] is absolute, so i.i.d.
     fault processes do not repeat each period.  The result has no
     {!nomination}, no {!pairing} and no {!tables}: drops act on absolute
-    rounds, which neither a nominee table, a drop-free pairing nor one
-    period of sender tables can express, so the chunked engine runs it
-    through {!sender}.  Permanently dead
+    rounds, which neither a memo of each pairing's mutual pairs, a
+    drop-free pairing nor one period of sender tables can express, so
+    the chunked engine runs it through {!sender}.  Permanently dead
     arcs of a periodic schedule are {!without_arcs}. *)
 val with_drops : t -> drop:(round:int -> u:int -> v:int -> bool) -> t
 
@@ -246,7 +246,8 @@ val ccc_colored : dim:int -> full_duplex:bool -> t
     leaves one vertex unmatched in every period and never completes.
     Completion is probabilistic, not guaranteed.  The schedule carries its
     {!nomination}, so the chunked engine evaluates each vertex's
-    nomination once per pairing rather than through {!sender}, which
+    nomination on a pairing's first visit and one nomination per mutual
+    pair on every later one, rather than through {!sender}, which
     evaluates two nominations per call and is called for every vertex
     and every receiver's sender in every round.  Its pairing stages
     [candidate p] once per round, so the sender path ({!with_drops},

@@ -21,16 +21,12 @@ type state = {
   state : Bytes.t;
       (* vertex v's word w at byte offset [((v * words) + w) * 8] *)
   mutable known : int;
-  mutable cand : int array;
-      (* nominees of one pairing instance; allocated (n words) on the
-         first round of a schedule with a nomination *)
-  mutable pairs : int array;
-      (* the lower endpoints of [cand]'s mutual pairs, ascending, in
-         [pairs.(0 .. npairs - 1)]; allocated (⌊n/2⌋ words) with [cand] *)
-  mutable npairs : int;
-  mutable cand_key : ((int -> int -> int) * int) option;
-      (* the (candidate, pairing) that [cand] and [pairs] currently
-         hold *)
+  mutable memo_key : (int -> int -> int) option;
+      (* the candidate function whose pairings [memo] holds *)
+  mutable memo : Bytes.t array;
+      (* row p: one bit per vertex, set at the lower endpoint of each of
+         pairing p's mutual pairs, in ⌈n/64⌉ 64-bit words; empty until
+         the pairing's first visit *)
 }
 
 (* SWAR over the 64-bit word, bit 63 (the sign bit) included: 2-, 4-
@@ -63,8 +59,7 @@ let create ?items n =
       (8 * ((v * words) + (v lsr 6)))
       (Int64.shift_left 1L (v land 63))
   done;
-  { n; items; words; state; known = items; cand = [||]; pairs = [||];
-    npairs = 0; cand_key = None }
+  { n; items; words; state; known = items; memo_key = None; memo = [||] }
 
 let n_vertices st = st.n
 let items st = st.items
@@ -204,19 +199,45 @@ let pairing_delta st partner phase lo hi =
   done;
   (!to_higher, !to_lower)
 
-(* The candidate-table arm, for schedules with a {!Schedule.nomination}:
-   [st.pairs.(lo .. hi - 1)] are lower endpoints [v] of mutual pairs,
-   whose partner is [x = cand.(v) > v], merged and counted as
-   [pairing_delta] merges and counts them.  Pairs are disjoint, so any
-   split of the list into ranges is race-free. *)
-let pairs_delta st phase lo hi =
-  let words = st.words and state = st.state in
-  let cand = st.cand and pairs = st.pairs in
+(* The proposal arm, for schedules with a {!Schedule.nomination}, over
+   the 64-vertex words [wlo, whi) of [row], the memo row of the pairing
+   whose nominee function is [nominee]: each lower endpoint [v] of a
+   mutual pair, whose partner is [x = nominee v > v], is merged and
+   counted as [pairing_delta] merges and counts it.  On the pairing's
+   first visit, [fill], the pass finds the pairs ([x > v] and
+   [nominee x = v]) and writes their bits; on a later one it reads them
+   back, lowest set bit first, with no mutual test.  Either way it takes
+   the pairs in ascending order of [v].  Pairs are disjoint and each
+   block owns its words, so any split on word boundaries is race-free. *)
+let nominated_delta st nominee row ~fill phase wlo whi =
+  let words = st.words and state = st.state and n = st.n in
   let to_higher = ref 0 and to_lower = ref 0 in
-  for i = lo to hi - 1 do
-    let v = pairs.(i) in
-    to_higher :=
-      !to_higher + merge_pair state words phase v cand.(v) ~to_v:to_lower
+  for w = wlo to whi - 1 do
+    let base = w lsl 6 in
+    if fill then begin
+      let bits = ref 0L in
+      for v = base to min n (base + 64) - 1 do
+        let x = nominee v in
+        if x > v && nominee x = v then begin
+          bits := Int64.logor !bits (Int64.shift_left 1L (v - base));
+          to_higher :=
+            !to_higher + merge_pair state words phase v x ~to_v:to_lower
+        end
+      done;
+      Bytes.set_int64_ne row (8 * w) !bits
+    end
+    else begin
+      let bits = ref (Bytes.get_int64_ne row (8 * w)) in
+      while !bits <> 0L do
+        let b = !bits in
+        (* the lowest set bit's index: the ones below it, counted *)
+        let v = base + popcount64 (Int64.pred (Int64.logand b (Int64.neg b))) in
+        to_higher :=
+          !to_higher
+          + merge_pair state words phase v (nominee v) ~to_v:to_lower;
+        bits := Int64.logand b (Int64.pred b)
+      done
+    end
   done;
   (!to_higher, !to_lower)
 
@@ -242,49 +263,35 @@ let pairing_phase ~fused mode pairings round =
     let r = round mod (2 * pairings) in
     (r / 2, if fused then -1 else r mod 2)
 
-(* Refills [st.cand] only when the pairing instance changes — every
-   round in full duplex, every second round in half duplex — staging
-   [candidate p] once and applying it to every vertex over the vertex
-   blocks, then lists the pairing's mutual pairs in one sequential
-   pass; every round of the pairing merges from that list alone.  The
-   fill writes only its own block and finishes before the pass reads
-   the table. *)
+(* Merges the round's pairing [p] from its memo row, staging
+   [candidate p] once per block.  The first visit fills a fresh row and
+   stores it only once the pass completes, so a pass cut short by an
+   exception leaves no row; a pairing revisited, in the same period or a
+   later one, merges from its row alone.  A schedule whose candidate
+   function is not the memo's, compared physically, starts a fresh
+   memo. *)
 let nominated_round workers st mode (pairings, candidate) round ~fused =
   let p, phase = pairing_phase ~fused mode pairings round in
-  (match st.cand_key with
-  | Some (c, q) when c == candidate && q = p -> ()
+  (match st.memo_key with
+  | Some c when c == candidate -> ()
   | _ ->
-      if Array.length st.cand <> st.n then begin
-        st.cand <- Array.make st.n (-1);
-        st.pairs <- Array.make (st.n / 2) 0
-      end;
-      (* a fill or pass cut short by an exception must not leave a
-         valid key *)
-      st.cand_key <- None;
-      let nominee = candidate p and cand = st.cand in
-      ignore
-        (over_blocks workers st.n (fun lo hi ->
-             for v = lo to hi - 1 do
-               cand.(v) <- nominee v
-             done;
-             (0, 0)));
-      let pairs = st.pairs and np = ref 0 in
-      for v = 0 to st.n - 1 do
-        let x = cand.(v) in
-        if x > v && cand.(x) = v then begin
-          pairs.(!np) <- v;
-          incr np
-        end
-      done;
-      st.npairs <- !np;
-      st.cand_key <- Some (candidate, p));
-  over_blocks workers st.npairs (pairs_delta st phase)
+      st.memo <- Array.make pairings Bytes.empty;
+      st.memo_key <- Some candidate);
+  let nwords = (st.n + 63) / 64 in
+  let fill = Bytes.length st.memo.(p) = 0 in
+  let row = if fill then Bytes.create (8 * nwords) else st.memo.(p) in
+  let counts =
+    over_blocks workers nwords (fun lo hi ->
+        nominated_delta st (candidate p) row ~fill phase lo hi)
+  in
+  if fill then st.memo.(p) <- row;
+  counts
 
 (* One pass over the state: round [round] of [sched], or, [fused], the
    two half-duplex rounds [round] (even) and [round + 1] of one pairing
    on a pair arm.  Four arms: a tabled schedule merges from its period's
-   sender tables, a proposal schedule from its candidate table's pair
-   list, any other [of_pairing] schedule from its pairing, staged once
+   sender tables, a proposal schedule from its pairing's memo row, any
+   other [of_pairing] schedule from its pairing, staged once
    per block, and every other schedule stages [Schedule.sender sched
    round] once per block and applies it per vertex.  Returns two counts
    whose sum is the pass's newly-set bits; a pair arm's are the bits new

@@ -29,14 +29,14 @@
     receiver-indexed sender table for the round, with no closure call
     per vertex; this is how {!Engine} and {!Certifier} run.
     A schedule with a {!Gossip_protocol.Schedule.nomination} (a
-    {!Gossip_protocol.Schedule.proposal}) runs on a candidate table: the
-    state keeps one n-word buffer of every vertex's nominee, refilled
-    only when the pairing changes (every round in full duplex, every
-    second round in half duplex) by staging [candidate p] once and
-    applying it to every vertex, and one ⌊n/2⌋-word list of the
-    pairing's mutual pairs by their lower endpoints, built in one pass
-    over the refilled buffer.  Every round of the pairing merges from
-    that list alone.  Every other schedule with a
+    {!Gossip_protocol.Schedule.proposal}) runs on a memo of its
+    pairings: one row per pairing index, one bit per vertex, set at the
+    lower endpoint of each of the pairing's mutual pairs.  A pairing's
+    first visit stages [candidate p] once per vertex block, merges every
+    pair [v < x] it finds ([x = candidate p v] and
+    [candidate p x = v]) and sets [v]'s bit; every later visit, in the
+    same period or a later one, merges the row's pairs alone, with no
+    mutual test and one nominee per pair.  Every other schedule with a
     {!Gossip_protocol.Schedule.pairing} — the structured colorings of
     hypercube, cycle, torus and CCC — runs on the pairing arm: the round's
     pairing is staged once per vertex block and called once per vertex
@@ -57,22 +57,28 @@
     count newly-set bits with the one constant-time {!popcount64}.  The
     schedule selects the arm; all four give the same rounds, coverage
     and state bits.  Memory is [n·⌈items/64⌉] 64-bit words of state
-    (8 MB at [n = 2^20] with 64 items), plus [n + ⌊n/2⌋] words once a
-    proposal schedule has run on the state; a tabled schedule brings its
-    own [n·period] words of tables.  At one worker a round is one block
-    over all its vertices (or pairs); with more, it is split into a few
-    blocks per worker.
+    (8 MB at [n = 2^20] with 64 items), plus [⌈n/64⌉] words per pairing
+    that a proposal schedule has visited on the state: [n] words at the
+    default 64 pairings, growing with the period ([8n] at 512).  A
+    tabled schedule brings its own [n·period] words of tables.  At one
+    worker a round is one block over all its vertices (or memo words);
+    with more, it is split into a few blocks per worker.
 
     The sender-table arm applies the sender path's rule to the table's
     entries, so it is race-free for the same reason.  The pairing arm
     is too: the pairing is an involution, so its pairs are disjoint,
     and each pair is written only by the block that holds its lower
-    endpoint, so any block split writes disjoint rows.  The candidate
-    arm is too: the fill writes each block's own entries and completes
-    before the pair list is built, which completes before any merge;
-    mutual nomination pairs each vertex with at most one partner, so
-    the pairs are disjoint and every split of the list into blocks
-    writes disjoint rows.  Every pass is a pure function of the state
+    endpoint, so any block split writes disjoint rows.  The proposal
+    arm is too: mutual nomination pairs each vertex with at most one
+    partner, so the pairs are disjoint; blocks split the memo row on
+    64-vertex word boundaries, so each block writes its own words, and
+    a pair is merged by the block that holds its lower endpoint.  A
+    row holds exactly the pairing's lower endpoints, and each visit
+    takes them in ascending order, so a revisit merges what a fresh
+    pass would.  A row is stored only once its first pass completes,
+    so a pass cut short by an exception leaves none; a schedule whose
+    candidate function is not the memo's (compared physically) starts
+    a fresh memo.  Every pass is a pure function of the state
     before the round and the round's matching, and the newly-set bit
     counts are summed exactly, so the result does not depend on the
     domain count.
@@ -135,11 +141,11 @@ val complete : state -> bool
     [round] of [sched] on [st], and that round alone, blockwise over the
     worker domains (default {!Gossip_util.Parallel.recommended_domains}).  A tabled
     schedule merges from [tables.(round mod period)]; a proposal
-    schedule merges from the candidate table's pair list, which is
-    rebuilt when [(candidate, pairing of round)] differs from what it
-    holds; any other schedule with a pairing merges each pair of the
-    round's pairing once; every other schedule runs on the sender path
-    (see the module header).  Rounds
+    schedule merges the round's pairing from its memo row, filled on the
+    pairing's first visit since the schedule took the state; any other
+    schedule with a pairing merges each pair of the round's pairing
+    once; every other schedule runs on the sender path (see the module
+    header).  Rounds
     may come in any order and schedules may be interleaved on one
     state.
     @raise Invalid_argument when [sched] and [st] disagree on the

@@ -105,16 +105,30 @@ let ccc dim =
    in-arcs shift one out (x -> x/d + t·D); the symmetric closure is their
    union.  Slots may collide with v (the constant words' self-loops) or
    with each other (dim = 1) — fill_neighbors reconciles, exactly like
-   Digraph.make's duplicate merge does for the materialized family. *)
+   Digraph.make's duplicate merge does for the materialized family.
+   When d = 2^lg, the slot computes both the out-slot and the in-slot
+   with shifts and masks, and the sign of k - d selects one without a
+   branch or a division: a proposal draws k at random, so a branch on
+   k < d would be mispredicted about half the time. *)
 let de_bruijn d dim =
   require "de_bruijn" (d >= 2 && dim >= 1);
   let n = ipow d dim in
   let shift = ipow d (dim - 1) in
-  make
-    ~name:(Printf.sprintf "DB(%d,%d)" d dim)
-    ~n ~slots:(2 * d)
-    ~slot:(fun v k ->
-      if k < d then (v mod shift * d) + k else (v / d) + ((k - d) * shift))
+  let slot =
+    if d land (d - 1) = 0 then
+      let rec log2 l = if 1 lsl l = d then l else log2 (l + 1) in
+      let lg = log2 1 in
+      let low = shift - 1 and up = lg * (dim - 1) in
+      fun v k ->
+        (* all ones when k < d, else zero: k - d lies in [-d, d) *)
+        let m = (k - d) asr 62 in
+        let out = ((v land low) lsl lg) + k
+        and into = (v lsr lg) + ((k - d) lsl up) in
+        into lxor ((out lxor into) land m)
+    else fun v k ->
+      if k < d then (v mod shift * d) + k else (v / d) + ((k - d) * shift)
+  in
+  make ~name:(Printf.sprintf "DB(%d,%d)" d dim) ~n ~slots:(2 * d) ~slot
 
 (* Symmetric Kautz on the rank coding of Families.kautz_vertex_of_string:
    a vertex is v = top·d^(D-1) + low, where top + 1 is the string's last

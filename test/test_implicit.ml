@@ -326,7 +326,7 @@ let test_with_drops_absolute_rounds () =
     (Schedule.round_arcs lossy ((2 * s) + 1)
     = Schedule.round_arcs base ((2 * s) + 1))
 
-(* --- the candidate-table path of proposal schedules --- *)
+(* --- the memo path of proposal schedules --- *)
 
 (* The same rounds without the nomination: [with_drops] clears it, so
    Chunked runs these through Schedule.sender. *)
@@ -454,31 +454,54 @@ let prop_nominated_path_matches_sender_path =
 
 let test_nominated_buffer_key () =
   (* one state, three proposal schedules interleaved, rounds out of
-     order: the table must be refilled whenever the (schedule, pairing)
-     it holds is not the round's — a new schedule at the same pairing,
-     or the same schedule at another pairing on an odd round *)
-  let imp = Implicit.de_bruijn 2 6 in
-  let a = Schedule.proposal imp ~period:4 ~seed:3 ~full_duplex:false in
-  let b = Schedule.proposal imp ~period:4 ~seed:11 ~full_duplex:false in
-  let c = Schedule.proposal imp ~period:3 ~seed:3 ~full_duplex:true in
-  let steps =
+     order: a pairing's memo row must be filled on its first visit and
+     read on every later one only while the schedule that filled it
+     holds the state — a new schedule starts a fresh memo, whether at
+     the same pairing or another one.  The steps revisit pairings of one
+     schedule within a period (a half-duplex pairing's second round, a
+     full-duplex round repeated) and in later periods, both before and
+     after another schedule takes the state; DB(3,4)'s 81 vertices end
+     in a partial word, and three domains split the rows into several
+     blocks. *)
+  List.iter
+    (fun (imp, domains) ->
+      let a = Schedule.proposal imp ~period:4 ~seed:3 ~full_duplex:false in
+      let b = Schedule.proposal imp ~period:4 ~seed:11 ~full_duplex:false in
+      let c = Schedule.proposal imp ~period:3 ~seed:3 ~full_duplex:true in
+      let steps =
+        [
+          (a, 0); (b, 0); (a, 1); (a, 5); (a, 4); (b, 1); (c, 0); (c, 0);
+          (a, 2); (b, 7); (c, 4); (a, 3); (b, 6); (c, 2); (a, 9); (b, 2);
+          (a, 8); (c, 1); (b, 3); (a, 6);
+          (* a holds the state: pairing 3 in this period and the next,
+             then pairing 0 filled, revisited, and read again a period
+             after pairing 1 *)
+          (a, 7); (a, 14); (a, 16); (a, 17); (a, 10); (a, 25);
+          (* b takes it at a pairing a has filled, then a comes back *)
+          (b, 16); (b, 17); (a, 24); (a, 1); (b, 9);
+          (* c's pairings across periods, between b's and a's *)
+          (c, 3); (c, 7); (c, 3); (b, 8); (c, 6); (a, 0); (a, 8);
+        ]
+      in
+      let drive path =
+        let st = Chunked.create (Implicit.n_vertices imp) in
+        List.iter
+          (fun (sched, r) -> Chunked.apply_round ~domains st (path sched) r)
+          steps;
+        st
+      in
+      let table = drive Fun.id and fresh = drive sender_path in
+      let case = Printf.sprintf "%s, %d domains" (Implicit.name imp) domains in
+      check (case ^ ": the rounds spread knowledge") true
+        (Chunked.items_known fresh > Implicit.n_vertices imp);
+      check (case ^ ": interleaved memo rounds = sender rounds") true
+        (same_knowledge table fresh))
     [
-      (a, 0); (b, 0); (a, 1); (a, 5); (a, 4); (b, 1); (c, 0); (c, 0);
-      (a, 2); (b, 7); (c, 4); (a, 3); (b, 6); (c, 2); (a, 9); (b, 2);
-      (a, 8); (c, 1); (b, 3); (a, 6);
+      (Implicit.de_bruijn 2 6, 1);
+      (Implicit.de_bruijn 2 6, 3);
+      (Implicit.de_bruijn 3 4, 1);
+      (Implicit.de_bruijn 3 4, 3);
     ]
-  in
-  let drive path =
-    let st = Chunked.create 64 in
-    List.iter
-      (fun (sched, r) -> Chunked.apply_round ~domains:1 st (path sched) r)
-      steps;
-    st
-  in
-  let table = drive Fun.id and fresh = drive sender_path in
-  check "the rounds spread knowledge" true (Chunked.items_known fresh > 64);
-  check "interleaved table rounds = sender rounds" true
-    (same_knowledge table fresh)
 
 let test_apply_round_validates () =
   let rejects st sched round =
@@ -900,7 +923,7 @@ let test_complete_before_first_round () =
 
 (* The nominee of [v] in pairing [t], written out: the avalanche hash of
    (seed, t, v), reduced [mod slots] and read through the checked
-   [Implicit.slot]; self- and out-of-range slots idle.  The table path
+   [Implicit.slot]; self- and out-of-range slots idle.  The memo path
    and the sender path both derive their pairing from the schedule's own
    [candidate], so only a reference like this one pins [candidate]
    itself. *)
@@ -977,6 +1000,30 @@ let test_kautz_slots_name_strings () =
         done
       done)
     [ 2; 3; 4 ]
+
+(* Every raw slot of DB(d, D) against the shift it names: out-slot k
+   shifts digit k in, (v·d mod n) + k, and in-slot d + j shifts one out,
+   ⌊v/d⌋ + j·d^(D-1).  A power-of-two d takes the generator's shifts
+   and masks, any other d its divisions.  The agreement cases compare
+   arc sets only, and the proposal's reference nominee reads
+   [Implicit.slot] itself, so neither sees a permutation of one
+   vertex's slots, on which the nominees depend. *)
+let test_de_bruijn_slots_name_shifts () =
+  List.iter
+    (fun d ->
+      for dim = 1 to 5 do
+        let imp = Implicit.de_bruijn d dim in
+        let n = Implicit.n_vertices imp in
+        for v = 0 to n - 1 do
+          Alcotest.(check (array int))
+            (Printf.sprintf "DB(%d,%d) slots of %d" d dim v)
+            (Array.init (2 * d) (fun k ->
+                 if k < d then (v * d mod n) + k
+                 else (v / d) + ((k - d) * (n / d))))
+            (Array.init (2 * d) (Implicit.slot imp v))
+        done
+      done)
+    [ 2; 3; 4; 8 ]
 
 (* --- the pairing arm and 64-bit knowledge words --- *)
 
@@ -1231,6 +1278,7 @@ let suite =
     ("complete before the first round", `Quick, test_complete_before_first_round);
     ("proposal nominees match their definition", `Quick, test_proposal_nominees);
     ("kautz slots name their strings", `Quick, test_kautz_slots_name_strings);
+    ("de Bruijn slots name their shifts", `Quick, test_de_bruijn_slots_name_shifts);
     QCheck_alcotest.to_alcotest prop_pairing_arm_matches_sender_path;
     ("knowledge words at the 64-item boundary", `Quick, test_word_boundary);
     QCheck_alcotest.to_alcotest prop_popcount64_matches_bit_loop;
