@@ -1365,15 +1365,15 @@ let print_robustness_overhead () =
    --json report.  Each row runs on one of the chunked engine's arms:
    the DB(2,D) rows are proposal schedules, which run on its memo of
    each pairing's mutual pairs (a pairing revisited in a later period
-   merges from its memo row); the Q(20) half-duplex sweep runs on its
-   pairing arm, the one
-   every structured colouring takes; and the same sweep through
-   [Fault_tolerant.replicate ~k:1] runs on its sender arm, the one every
-   fault-tolerant wrapper takes.  The DB and Q(20) rows are half duplex
-   on a pair arm, so [Chunked.run] merges each pairing's two rounds in
-   one pass; the rep2 row still runs round by round on the sender
-   path.  The two Q(20) rows have their own gauges (the n-keyed DB
-   gauge name would collide at n = 2^20). *)
+   merges from its memo row); the Q(20) sweep, the 256x256 torus and
+   CCC(13) run on its runs arm, which walks each pairing as the strided
+   runs of pairs the structured colourings declare; and the same sweep
+   through [Fault_tolerant.replicate ~k:1] runs on its sender arm, the
+   one every fault-tolerant wrapper takes.  The DB, Q(20), torus and
+   CCC rows are half duplex on a pair arm, so [Chunked.run] merges each
+   pairing's two rounds in one pass; the rep2 row still runs round by
+   round on the sender path.  Every row but the DB ones has its own
+   gauge (the n-keyed DB gauge name would collide at n = 2^20). *)
 let print_scale_implicit () =
   let t =
     Table.make
@@ -1420,6 +1420,10 @@ let print_scale_implicit () =
   row ~gauge:"bench.scale_implicit.sweep_nodes_rounds_per_sec.q20" sweep;
   row ~gauge:"bench.scale_implicit.sender_arm_nodes_rounds_per_sec.q20_rep2"
     (fst (Protocol.Fault_tolerant.replicate sweep ~k:1));
+  row ~gauge:"bench.scale_implicit.torus_nodes_rounds_per_sec.256x256"
+    (Protocol.Schedule.torus_colored ~rows:256 ~cols:256 ~full_duplex:false);
+  row ~gauge:"bench.scale_implicit.ccc_nodes_rounds_per_sec.ccc13"
+    (Protocol.Schedule.ccc_colored ~dim:13 ~full_duplex:false);
   Table.print t;
   print_endline
     "(the 10^6-vertex rows are ~100x beyond Part 18's materialized ceiling;\n\

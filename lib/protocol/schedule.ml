@@ -1,6 +1,15 @@
 module Digraph = Gossip_topology.Digraph
 module Implicit = Gossip_topology.Implicit
 
+type run = {
+  first : int;
+  count : int;
+  stride : int;
+  len : int;
+  step : int;
+  offset : int;
+}
+
 type t = {
   name : string;
   n : int;
@@ -11,8 +20,9 @@ type t = {
          receiver -> sender function *)
   nomination : (int * (int -> int -> int)) option;
       (* (pairings, candidate): set by [proposal] only *)
-  pairing : (int * (int -> int -> int)) option;
-      (* (pairings, pairing): set by [of_pairing] only *)
+  pairing : run array array option;
+      (* each pairing's runs of pairs: set by the structured generators
+         only *)
   tables : int array array option;
       (* one receiver-indexed sender table per period round: set by
          [of_systolic], [tabulate] and [without_arcs] only *)
@@ -141,29 +151,43 @@ let with_drops t ~drop =
    (or -1), and must be an involution: pairing t (pairing t v) = v.
    The round's pairing index and phase are settled once, when the round
    is staged; [pairing t] is applied once per round too, so a pairing
-   written [fun t -> ... fun v -> ...] stages its own per-round work.
-   The schedule keeps [(pairings, pairing)] as its [pairing], so the
-   chunked engine can merge each pair once instead of asking [sender]
-   for every vertex and every receiver's sender. *)
+   written [fun t -> ... fun v -> ...] stages its own per-round work. *)
 let of_pairing ~name ~n ~pairings ~full_duplex pairing =
-  let sched =
-    if full_duplex then
-      make ~name ~n ~mode:Protocol.Full_duplex ~period:pairings
-        ~sender:(fun r -> pairing (r mod pairings))
-    else
-      make ~name ~n ~mode:Protocol.Half_duplex
-        ~period:(2 * pairings)
-        ~sender:(fun r ->
-          let r = r mod (2 * pairings) in
-          let partner = pairing (r / 2) in
-          if r mod 2 = 0 then fun v ->
-            let p = partner v in
-            if p >= 0 && p < v then p else -1
-          else fun v ->
-            let p = partner v in
-            if p > v then p else -1)
-  in
-  { sched with pairing = Some (pairings, pairing) }
+  if full_duplex then
+    make ~name ~n ~mode:Protocol.Full_duplex ~period:pairings
+      ~sender:(fun r -> pairing (r mod pairings))
+  else
+    make ~name ~n ~mode:Protocol.Half_duplex
+      ~period:(2 * pairings)
+      ~sender:(fun r ->
+        let r = r mod (2 * pairings) in
+        let partner = pairing (r / 2) in
+        if r mod 2 = 0 then fun v ->
+          let p = partner v in
+          if p >= 0 && p < v then p else -1
+        else fun v ->
+          let p = partner v in
+          if p > v then p else -1)
+
+(* A structured generator's schedule: [partner] serves [sender], and
+   [runs.(p)] names the same pairs of pairing [p] for the chunked
+   engine, which walks them with no closure call per vertex. *)
+let structured ~name ~n ~full_duplex runs partner =
+  {
+    (of_pairing ~name ~n ~pairings:(Array.length runs) ~full_duplex partner)
+    with
+    pairing = Some runs;
+  }
+
+(* The pairs [(v, v + offset)], [v = first + i·stride + j·step] for
+   [i < count] and [j < len].  The loop with the smaller step goes
+   inside, and a column of single pairs ([len = 1]) becomes one row, so
+   the generators' passes walk the state in ascending order, in rows as
+   long as the layout allows. *)
+let run ~first ~count ~stride ~len ~step ~offset =
+  if len = 1 || (count > 1 && stride < step) then
+    { first; count = len; stride = step; len = count; step = stride; offset }
+  else { first; count; stride; len; step; offset }
 
 (* Proper coloring of the cycle on [len] vertices: edge j joins j and
    j+1 mod len; colors alternate, with the closing edge taking a third
@@ -180,29 +204,63 @@ let cycle_partner len color x =
     let prev = if x = 0 then len - 1 else x - 1 in
     if cycle_edge_color len prev = color then prev else -1
 
+(* The runs of [cycle_partner]'s coloring, one array per color, on
+   [count] cycles of [len] vertices, cycle [i]'s vertex [c] at
+   [base + i·stride + c·scale]: edges [c, c + 1] of one parity, then the
+   closing edge [0, len - 1], alone (odd [len]) or with the odd edges. *)
+let cycle_runs ~len ~base ~count ~stride ~scale =
+  let edges first k =
+    run ~first ~count ~stride ~len:k ~step:(2 * scale) ~offset:scale
+  in
+  let closing =
+    run ~first:base ~count ~stride ~len:1 ~step:scale
+      ~offset:((len - 1) * scale)
+  in
+  if len mod 2 = 0 then
+    [|
+      [| edges base (len / 2) |];
+      [| edges (base + scale) ((len / 2) - 1); closing |];
+    |]
+  else
+    [|
+      [| edges base (len / 2) |];
+      [| edges (base + scale) (len / 2) |];
+      [| closing |];
+    |]
+
 let hypercube_sweep ~dim ~full_duplex =
   if dim < 1 then invalid_arg "Schedule.hypercube_sweep: dim must be >= 1";
-  of_pairing
+  let n = 1 lsl dim in
+  structured
     ~name:(Printf.sprintf "Q(%d) sweep" dim)
-    ~n:(1 lsl dim) ~pairings:dim ~full_duplex
+    ~n ~full_duplex
+    (* pairing t: v with bit t clear, v = i·2^(t+1) + j, and v + 2^t *)
+    (Array.init dim (fun t ->
+         let m = 1 lsl t in
+         [| run ~first:0 ~count:(n / (2 * m)) ~stride:(2 * m) ~len:m ~step:1
+              ~offset:m |]))
     (fun t ->
       let m = 1 lsl t in
       fun v -> v lxor m)
 
 let cycle_alternating ~n ~full_duplex =
   if n < 3 then invalid_arg "Schedule.cycle_alternating: n must be >= 3";
-  of_pairing
+  structured
     ~name:(Printf.sprintf "C(%d) alternating" n)
-    ~n ~pairings:(cycle_colors n) ~full_duplex
+    ~n ~full_duplex
+    (cycle_runs ~len:n ~base:0 ~count:1 ~stride:0 ~scale:1)
     (fun t v -> cycle_partner n t v)
 
 let torus_colored ~rows ~cols ~full_duplex =
   if rows < 3 || cols < 3 then
     invalid_arg "Schedule.torus_colored: sides must be >= 3";
-  let hc = cycle_colors cols and vc = cycle_colors rows in
-  of_pairing
+  let hc = cycle_colors cols in
+  structured
     ~name:(Printf.sprintf "Torus(%dx%d) colored" rows cols)
-    ~n:(rows * cols) ~pairings:(hc + vc) ~full_duplex
+    ~n:(rows * cols) ~full_duplex
+    (Array.append
+       (cycle_runs ~len:cols ~base:0 ~count:rows ~stride:cols ~scale:1)
+       (cycle_runs ~len:rows ~base:0 ~count:cols ~stride:1 ~scale:cols))
     (fun t v ->
       let r = v / cols in
       let c = v - (r * cols) in
@@ -216,10 +274,20 @@ let torus_colored ~rows ~cols ~full_duplex =
 let ccc_colored ~dim ~full_duplex =
   if dim < 3 then invalid_arg "Schedule.ccc_colored: dim must be >= 3";
   let cc = cycle_colors dim in
-  of_pairing
+  structured
     ~name:(Printf.sprintf "CCC(%d) colored" dim)
     ~n:(dim * (1 lsl dim))
-    ~pairings:(cc + 1) ~full_duplex
+    ~full_duplex
+    (Array.append
+       (cycle_runs ~len:dim ~base:0 ~count:(1 lsl dim) ~stride:dim ~scale:1)
+       (* rung i: (w, i) with bit i of w clear, w = k·2^(i+1) + j, and
+          (w + 2^i, i) *)
+       [|
+         Array.init dim (fun i ->
+             let m = 1 lsl i in
+             run ~first:i ~count:(1 lsl (dim - i - 1)) ~stride:(2 * m * dim)
+               ~len:m ~step:dim ~offset:(m * dim));
+       |])
     (fun t v ->
       let w = v / dim in
       let i = v - (w * dim) in

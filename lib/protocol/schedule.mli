@@ -67,23 +67,39 @@ val period : t -> int
     call. *)
 val nomination : t -> (int * (int -> int -> int)) option
 
-(** [pairing t] is [Some (pairings, pairing)] for a schedule built by
-    {!of_pairing} — the structured generators ({!hypercube_sweep},
-    {!cycle_alternating}, {!torus_colored}, {!ccc_colored}) and
-    {!proposal} — and [None] for every other one: {!make}, {!tabulate},
-    {!of_systolic}, {!without_arcs}, {!with_drops} (whose drops a pairing
-    cannot express) and the {!Fault_tolerant} transforms (an augment
-    that adds no chord returns its input unchanged).  [pairing p v]
-    is the partner of [v] in pairing [p] ([0 <= p < pairings]), or [-1];
-    it is an involution, and round [r] runs pairing [r mod pairings]
-    (full duplex) or [(r mod 2·pairings) / 2] (half duplex, the lower
-    endpoint sending in the pairing's first round and the higher in its
-    second), so [sender t r v] can be rebuilt from [pairing] alone.  It
-    is staged like {!sender}: apply [pairing p] once per pairing and the
-    result once per vertex, as the chunked engine does.  A {!proposal}
-    also carries a {!nomination}, which the chunked engine takes
-    first. *)
-val pairing : t -> (int * (int -> int -> int)) option
+(** A run of pairs: [{first; count; stride; len; step; offset}] stands
+    for the pairs [(v, v + offset)] with [v = first + i·stride + j·step]
+    for [0 <= i < count] and [0 <= j < len], taken [i]-major.
+    [offset > 0], so [v] is the pair's lower endpoint. *)
+type run = {
+  first : int;
+  count : int;
+  stride : int;
+  len : int;
+  step : int;
+  offset : int;
+}
+
+(** [pairing t] is [Some runs] for the structured generators
+    ({!hypercube_sweep}, {!cycle_alternating}, {!torus_colored},
+    {!ccc_colored}) and [None] for every other schedule: {!of_pairing}
+    alone, {!proposal} (which carries a {!nomination} instead), {!make},
+    {!tabulate}, {!of_systolic}, {!without_arcs}, {!with_drops} (whose
+    drops a pairing cannot express) and the {!Fault_tolerant} transforms
+    (an augment that adds no chord returns its input unchanged).  The
+    generator declares its pairings once, when the schedule is built:
+    [Array.length runs] is the number of pairings, and the runs of
+    [runs.(p)] name exactly the pairs [(v, x)], [v < x], of pairing [p],
+    each vertex in at most one and every endpoint in [[0, n)].  Round
+    [r] runs pairing [r mod pairings] (full duplex) or
+    [(r mod 2·pairings) / 2] (half duplex, the lower endpoint sending in
+    the pairing's first round and the higher in its second), as
+    {!of_pairing} lays it out, so [sender t r v] can be rebuilt from the
+    runs alone.  The chunked engine walks them directly, with no closure
+    call, division or [v < x] test per vertex.  The arrays are shared
+    with [t], not copied: a read-only view, which callers must not
+    mutate. *)
+val pairing : t -> run array array option
 
 (** [sender t round] is the receiver -> sender function of (absolute)
     [round]: [sender t round v] is the vertex transmitting to [v], or
@@ -181,8 +197,10 @@ val with_drops : t -> drop:(round:int -> u:int -> v:int -> bool) -> t
     round's pairing index and phase are computed when the round is
     staged (see {!sender}), and [pairing t] is applied once per round,
     so a pairing written [fun t -> (per-pairing work); fun v -> ...]
-    stages its own work too.  The result exposes [(pairings, pairing)]
-    as its {!pairing}. *)
+    stages its own work too.  The result has no {!pairing}, no
+    {!nomination} and no {!tables}: a closure cannot be walked as runs,
+    so the chunked engine runs it through {!sender}.  The structured
+    generators attach their runs to what it builds. *)
 val of_pairing :
   name:string ->
   n:int ->
@@ -245,14 +263,14 @@ val ccc_colored : dim:int -> full_duplex:bool -> t
     at the default [s = 64], but about [2e-4] at 8 slots, where DB(4,6)
     leaves one vertex unmatched in every period and never completes.
     Completion is probabilistic, not guaranteed.  The schedule carries its
-    {!nomination}, so the chunked engine evaluates each vertex's
-    nomination on a pairing's first visit and one nomination per mutual
-    pair on every later one, rather than through {!sender}, which
-    evaluates two nominations per call and is called for every vertex
-    and every receiver's sender in every round.  Its pairing stages
-    [candidate p] once per round, so the sender path ({!with_drops},
-    the {!Fault_tolerant} wrappers) pays the pairing's work once per
-    round too.
+    {!nomination} and no {!pairing} (its pairs have no closed form), so
+    the chunked engine evaluates each vertex's nomination on a pairing's
+    first visit and one nomination per mutual pair on every later one,
+    rather than through {!sender}, which evaluates two nominations per
+    call and is called for every vertex and every receiver's sender in
+    every round.  Its sender stages [candidate p] once per round, so the
+    sender path ({!with_drops}, the {!Fault_tolerant} wrappers) pays the
+    pairing's work once per round too.
     @raise Invalid_argument on [period < 1]. *)
 val proposal : Gossip_topology.Implicit.t -> period:int -> seed:int -> full_duplex:bool -> t
 

@@ -183,27 +183,76 @@ let tabled_block_delta st snd lo hi =
   done;
   (!delta, !to_lower)
 
-(* The pairing arm, for {!Schedule.of_pairing} schedules: [partner] is
-   the round's pairing, staged once per block, and every pair [v < x] is
-   merged once, by the block that holds its lower endpoint [v]; the
-   higher endpoint's block skips it.  The pairing is an involution, so
-   the pairs are disjoint, and any block split writes disjoint rows.
-   Returns the bits new to higher endpoints, then to lower ones. *)
-let pairing_delta st partner phase lo hi =
-  let words = st.words and state = st.state and n = st.n in
+(* The runs arm, for the structured generators' schedules
+   ({!Schedule.pairing}): pairs [lo, hi) of the round's pairing, its
+   runs taken in order and each run's [count·len] pairs [i]-major.  A
+   block finds its first pair with one division and walks on by [step],
+   and by [stride] from row to row.  Each pair [v < x = v + offset] is
+   merged by [phase] as [merge_pair] merges it.  One-word rows are
+   merged in the loop body itself, with the counters in local refs,
+   which stay unboxed (a ref passed to [merge_pair] is a heap block):
+   [x] learns [v] unless [phase = 1], and [v] learns [x] unless
+   [phase = 0].  The runs name disjoint pairs, so any split of the pair
+   indices writes disjoint rows.  Returns the bits new to higher
+   endpoints, then to lower ones. *)
+let runs_delta st runs phase lo hi =
+  let words = st.words and state = st.state in
   let to_higher = ref 0 and to_lower = ref 0 in
-  for v = lo to hi - 1 do
-    let x = partner v in
-    if v < x && x < n then
-      to_higher := !to_higher + merge_pair state words phase v x ~to_v:to_lower
+  (* [merge_pair]'s count of bits new to lower endpoints, kept apart so
+     that [to_lower] stays unboxed *)
+  let to_v = ref 0 in
+  let start = ref 0 in
+  for k = 0 to Array.length runs - 1 do
+    let { Schedule.first; count; stride; len; step; offset } = runs.(k) in
+    let size = count * len in
+    (* the run's pairs [p0, p1) fall in the block *)
+    let p0 = if lo > !start then lo - !start else 0 in
+    let p1 = if hi < !start + size then hi - !start else size in
+    if p0 < p1 then begin
+      let i = ref (p0 / len) in
+      let j = ref (p0 - (!i * len)) in
+      let left = ref (p1 - p0) in
+      while !left > 0 do
+        let m = if len - !j < !left then len - !j else !left in
+        let v = first + (!i * stride) + (!j * step) in
+        if words = 1 then
+          for t = 0 to m - 1 do
+            let dv = 8 * (v + (t * step)) in
+            let dx = dv + (8 * offset) in
+            let a = Bytes.get_int64_ne state dv
+            and b = Bytes.get_int64_ne state dx in
+            let u = Int64.logor a b in
+            if phase <> 1 && u <> b then begin
+              to_higher :=
+                !to_higher + popcount64 (Int64.logand a (Int64.lognot b));
+              Bytes.set_int64_ne state dx u
+            end;
+            if phase <> 0 && u <> a then begin
+              to_lower :=
+                !to_lower + popcount64 (Int64.logand b (Int64.lognot a));
+              Bytes.set_int64_ne state dv u
+            end
+          done
+        else
+          for t = 0 to m - 1 do
+            let v = v + (t * step) in
+            to_higher :=
+              !to_higher + merge_pair state words phase v (v + offset) ~to_v
+          done;
+        left := !left - m;
+        incr i;
+        j := 0
+      done
+    end;
+    start := !start + size
   done;
-  (!to_higher, !to_lower)
+  (!to_higher, !to_lower + !to_v)
 
 (* The proposal arm, for schedules with a {!Schedule.nomination}, over
    the 64-vertex words [wlo, whi) of [row], the memo row of the pairing
    whose nominee function is [nominee]: each lower endpoint [v] of a
    mutual pair, whose partner is [x = nominee v > v], is merged and
-   counted as [pairing_delta] merges and counts it.  On the pairing's
+   counted as [merge_pair] merges and counts it.  On the pairing's
    first visit, [fill], the pass finds the pairs ([x > v] and
    [nominee x = v]) and writes their bits; on a later one it reads them
    back, lowest set bit first, with no mutual test.  Either way it takes
@@ -290,10 +339,11 @@ let nominated_round workers st mode (pairings, candidate) round ~fused =
 (* One pass over the state: round [round] of [sched], or, [fused], the
    two half-duplex rounds [round] (even) and [round + 1] of one pairing
    on a pair arm.  Four arms: a tabled schedule merges from its period's
-   sender tables, a proposal schedule from its pairing's memo row, any
-   other [of_pairing] schedule from its pairing, staged once
-   per block, and every other schedule stages [Schedule.sender sched
-   round] once per block and applies it per vertex.  Returns two counts
+   sender tables, a proposal schedule from its pairing's memo row, a
+   structured generator's schedule from its pairing's runs, split into
+   blocks by pair index, and every other schedule stages
+   [Schedule.sender sched round] once per block and applies it per
+   vertex.  Returns two counts
    whose sum is the pass's newly-set bits; a pair arm's are the bits new
    to higher endpoints and to lower ones, so a fused pass's are
    [round]'s and [round + 1]'s (see [run]). *)
@@ -306,10 +356,15 @@ let pass workers st sched round ~fused =
       over_blocks workers st.n (tabled_block_delta st snd)
   | None, Some nomination, _ ->
       nominated_round workers st (Schedule.mode sched) nomination round ~fused
-  | None, None, Some (pairings, pairing) ->
-      let p, phase = pairing_phase ~fused (Schedule.mode sched) pairings round in
-      over_blocks workers st.n (fun lo hi ->
-          pairing_delta st (pairing p) phase lo hi)
+  | None, None, Some pairings ->
+      let p, phase =
+        pairing_phase ~fused (Schedule.mode sched) (Array.length pairings) round
+      in
+      let runs = pairings.(p) in
+      let pairs =
+        Array.fold_left (fun acc r -> acc + (r.Schedule.count * r.len)) 0 runs
+      in
+      over_blocks workers pairs (runs_delta st runs phase)
   | None, None, None ->
       over_blocks workers st.n (fun lo hi ->
           block_delta st (Schedule.sender sched round) lo hi)

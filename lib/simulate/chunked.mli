@@ -36,18 +36,23 @@
     pair [v < x] it finds ([x = candidate p v] and
     [candidate p x = v]) and sets [v]'s bit; every later visit, in the
     same period or a later one, merges the row's pairs alone, with no
-    mutual test and one nominee per pair.  Every other schedule with a
+    mutual test and one nominee per pair.  A schedule with a
     {!Gossip_protocol.Schedule.pairing} — the structured colorings of
-    hypercube, cycle, torus and CCC — runs on the pairing arm: the round's
-    pairing is staged once per vertex block and called once per vertex
-    [v], and the pair [v < x = partner v] is merged once, by the block
-    that holds [v].  Both pair arms merge a pair as
-    {!Gossip_protocol.Schedule.of_pairing} splits it: a full-duplex pair
+    hypercube, cycle, torus and CCC — runs on the runs arm: the pass
+    sums [count·len] over the round's pairing's runs and splits that
+    range of pair indices into blocks; each block finds its first pair
+    with one division and walks the rest in order, [v] by [step] within
+    a row and by [stride] from row to row, with no closure call,
+    division or [v < x] test per vertex, and merges each pair
+    [(v, v + offset)] once.  With one-word rows (at most 64 items) the
+    loop body merges the two words itself.  Both pair arms merge a pair
+    as {!Gossip_protocol.Schedule.of_pairing} splits it: a full-duplex pair
     exchanges, and in half duplex the lower endpoint sends to the
     higher one in the pairing's first round and the higher to the lower
     in its second; {!run} merges those two rounds in one pass (below).
     Every remaining schedule —
     {!Gossip_protocol.Schedule.make},
+    {!Gossip_protocol.Schedule.of_pairing} alone,
     {!Gossip_protocol.Schedule.with_drops} and the
     {!Gossip_protocol.Fault_tolerant} wrappers — runs on the sender
     path, which stages the round once per vertex block
@@ -61,14 +66,15 @@
     that a proposal schedule has visited on the state: [n] words at the
     default 64 pairings, growing with the period ([8n] at 512).  A
     tabled schedule brings its own [n·period] words of tables.  At one
-    worker a round is one block over all its vertices (or memo words);
+    worker a round is one block over all its vertices (or memo words, or
+    pairs);
     with more, it is split into a few blocks per worker.
 
     The sender-table arm applies the sender path's rule to the table's
-    entries, so it is race-free for the same reason.  The pairing arm
-    is too: the pairing is an involution, so its pairs are disjoint,
-    and each pair is written only by the block that holds its lower
-    endpoint, so any block split writes disjoint rows.  The proposal
+    entries, so it is race-free for the same reason.  The runs arm is
+    too: the runs name disjoint pairs, and each pair is written only by
+    the block that holds its index, so any block split writes disjoint
+    rows.  The proposal
     arm is too: mutual nomination pairs each vertex with at most one
     partner, so the pairs are disjoint; blocks split the memo row on
     64-vertex word boundaries, so each block writes its own words, and
@@ -142,9 +148,9 @@ val complete : state -> bool
     worker domains (default {!Gossip_util.Parallel.recommended_domains}).  A tabled
     schedule merges from [tables.(round mod period)]; a proposal
     schedule merges the round's pairing from its memo row, filled on the
-    pairing's first visit since the schedule took the state; any other
-    schedule with a pairing merges each pair of the round's pairing
-    once; every other schedule runs on the sender path (see the module
+    pairing's first visit since the schedule took the state; a schedule
+    with a pairing merges each pair that its pairing's runs name, once;
+    every other schedule runs on the sender path (see the module
     header).  Rounds
     may come in any order and schedules may be interleaved on one
     state.

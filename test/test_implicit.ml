@@ -363,11 +363,17 @@ let test_nomination_only_on_proposals () =
         Schedule.of_systolic
           (Builders.edge_coloring_half_duplex (Families.hypercube 3)) );
     ];
-  (* every of_pairing schedule carries its pairing, and nothing built
-     from one by a transform keeps it *)
+  (* the structured generators carry their runs, one array per
+     pairing; a proposal carries its nomination and no pairing; nothing
+     built from either by a transform keeps a pairing *)
+  check "proposal has no pairing" true (Schedule.pairing prop = None);
+  check "of_pairing alone has no pairing" true
+    (Schedule.pairing
+       (Schedule.of_pairing ~name:"swap" ~n:4 ~pairings:1 ~full_duplex:true
+          (fun _ v -> v lxor 1))
+    = None);
   let paired =
     [
-      ("proposal", prop, 4);
       ("hypercube sweep", Schedule.hypercube_sweep ~dim:5 ~full_duplex:false, 5);
       ("cycle 9", Schedule.cycle_alternating ~n:9 ~full_duplex:true, 3);
       ("cycle 10", Schedule.cycle_alternating ~n:10 ~full_duplex:false, 2);
@@ -377,10 +383,13 @@ let test_nomination_only_on_proposals () =
   in
   List.iter
     (fun (name, sched, pairings) ->
-      check (name ^ " carries its pairing") true
+      check (name ^ " carries its runs") true
         (match Schedule.pairing sched with
-        | Some (p, _) -> p = pairings
-        | None -> false);
+        | Some runs -> Array.length runs = pairings
+        | None -> false))
+    paired;
+  List.iter
+    (fun (name, sched) ->
       List.iter
         (fun (transform, t) ->
           check
@@ -398,7 +407,8 @@ let test_nomination_only_on_proposals () =
               ~mode:(Schedule.mode sched) ~period:(Schedule.period sched)
               ~sender:(Schedule.sender sched) );
         ])
-    paired;
+    (("proposal", prop)
+    :: List.map (fun (name, sched, _) -> (name, sched)) paired);
   check "augment has no pairing" true
     (Schedule.pairing
        (fst
@@ -1025,9 +1035,9 @@ let test_de_bruijn_slots_name_shifts () =
       done)
     [ 2; 3; 4; 8 ]
 
-(* --- the pairing arm and 64-bit knowledge words --- *)
+(* --- the runs arm and 64-bit knowledge words --- *)
 
-(* The structured colorings, which run on the pairing arm: hypercube
+(* The structured colorings, which run on the runs arm: hypercube
    sweeps, cycles of both parities, tori and CCC, in both duplex modes,
    some above 128 vertices so that every tracked item count below is
    reached. *)
@@ -1163,8 +1173,9 @@ let round_by_round ~domains ~cap ~checkpoint_every st sched =
 let checkpoint_curve o =
   List.map (fun c -> (c.Chunked.round, c.Chunked.coverage)) o.Chunked.checkpoints
 
-(* the pair-arm schedules: the structured colorings above, an augment's
-   chord pairing, and proposals *)
+(* the pair-arm schedules, the structured colorings above and
+   proposals, and an augment's chord pairing, which [of_pairing] builds
+   without runs, so it runs on the sender path *)
 let gen_pair_arm_schedule =
   QCheck.Gen.(
     let* full_duplex = bool in
@@ -1248,6 +1259,68 @@ let test_sweep_completes_on_a_pairs_first_round () =
         dims)
     [ (1, [ 1; 2; 3; 5; 8; 12 ]); (64, [ 7; 8; 10; 12 ]) ]
 
+(* The structured generators declare each pairing as runs of pairs,
+   which the chunked engine walks in place of the partner closure: the
+   runs of pairing [p] must name exactly the pairs [(v, x)], [v < x],
+   whose arcs [v -> x] the sender forms in round [p] (full duplex) or
+   [2p] (half duplex, where the lower endpoint sends first), each lower
+   endpoint once and every endpoint a vertex. *)
+let test_runs_name_the_senders_pairs () =
+  let schedules full_duplex =
+    List.init 12 (fun d -> Schedule.hypercube_sweep ~dim:(d + 1) ~full_duplex)
+    @ List.init 69 (fun i -> Schedule.cycle_alternating ~n:(i + 3) ~full_duplex)
+    @ List.concat_map
+        (fun rows ->
+          List.init 7 (fun c ->
+              Schedule.torus_colored ~rows:(rows + 3) ~cols:(c + 3) ~full_duplex))
+        (List.init 7 Fun.id)
+    @ List.init 5 (fun d -> Schedule.ccc_colored ~dim:(d + 3) ~full_duplex)
+  in
+  List.iter
+    (fun sched ->
+      let n = Schedule.n_vertices sched in
+      let full_duplex = Schedule.mode sched = Protocol.Full_duplex in
+      let case =
+        Printf.sprintf "%s %s" (Schedule.name sched)
+          (Protocol.mode_to_string (Schedule.mode sched))
+      in
+      let pairings =
+        match Schedule.pairing sched with
+        | Some runs -> runs
+        | None -> Alcotest.failf "%s: no runs" case
+      in
+      check_int (case ^ ": pairings per period") (Schedule.period sched)
+        ((if full_duplex then 1 else 2) * Array.length pairings);
+      Array.iteri
+        (fun p runs ->
+          let case = Printf.sprintf "%s, pairing %d" case p in
+          let named = ref [] in
+          Array.iter
+            (fun { Schedule.first; count; stride; len; step; offset } ->
+              for i = 0 to count - 1 do
+                for j = 0 to len - 1 do
+                  let v = first + (i * stride) + (j * step) in
+                  named := (v, v + offset) :: !named
+                done
+              done)
+            runs;
+          let named = List.sort compare !named in
+          let sender = Schedule.sender sched (if full_duplex then p else 2 * p) in
+          let formed = ref [] in
+          for x = 0 to n - 1 do
+            let v = sender x in
+            if v >= 0 && v < x then formed := (v, x) :: !formed
+          done;
+          check (case ^ ": endpoints are vertices") true
+            (List.for_all (fun (v, x) -> 0 <= v && v < x && x < n) named);
+          check (case ^ ": each lower endpoint once") true
+            (List.length (List.sort_uniq compare (List.map fst named))
+            = List.length named);
+          check (case ^ ": the sender's pairs") true
+            (named = List.sort compare !formed))
+        pairings)
+    (schedules false @ schedules true)
+
 let suite =
   [
     ("implicit generators agree", `Quick, test_generators_agree);
@@ -1285,4 +1358,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_run_matches_round_loop;
     ("half-duplex Q(d) completes at 2d - 1", `Quick,
      test_sweep_completes_on_a_pairs_first_round);
+    ("runs name the sender's pairs", `Quick, test_runs_name_the_senders_pairs);
   ]
